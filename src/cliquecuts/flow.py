@@ -99,35 +99,47 @@ class _Net:
                     queue.append(self._to[a])
         return level
 
-    def _push(self, x: int, t: int, limit: int, level: list[int],
-              it: list[int]) -> int:
-        if x == t:
-            return limit
-        while it[x] < len(self._adj[x]):
-            a = self._adj[x][it[x]]
-            y = self._to[a]
-            if self._res[a] > 0 and level[y] == level[x] + 1:
-                got = self._push(y, t, min(limit, self._res[a]), level, it)
-                if got > 0:
-                    self._res[a] -= got
-                    self._res[a ^ 1] += got
-                    return got
-            it[x] += 1
-        return 0
+    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        """Push one augmenting path of the level graph and return its value,
+        0 once none is left.  A depth-first walk on an explicit stack of
+        arcs; it[x] moves past an arc only when that arc leaves the level
+        graph or leads to a dead end, so paths come out in the order of a
+        recursive search, with no recursion limit."""
+        adj, to, res = self._adj, self._to, self._res
+        path: list[int] = []
+        x = s
+        while x != t:
+            arcs = adj[x]
+            i = it[x]
+            while i < len(arcs):
+                a = arcs[i]
+                if res[a] > 0 and level[to[a]] == level[x] + 1:
+                    break
+                i += 1
+            it[x] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                x = to[arcs[i]]
+            elif path:
+                x = to[path.pop() ^ 1]
+                it[x] += 1
+            else:
+                return 0
+        got = min(res[a] for a in path)
+        for a in path:
+            res[a] -= got
+            res[a ^ 1] += got
+        return got
 
     def max_flow(self, s_id: int, t_id: int) -> int:
         s, t = self.vertex(s_id), self.vertex(t_id)
         total = 0
-        big = sum(self._init) + 1
         while True:
             level = self._levels(s)
             if level[t] < 0:
                 return total
             it = [0] * len(self._verts)
-            while True:
-                got = self._push(s, t, big, level, it)
-                if got == 0:
-                    break
+            while got := self._augment(s, t, level, it):
                 total += got
 
     def cut_side(self, s_id: int) -> frozenset:
@@ -187,77 +199,43 @@ class _Net:
         return trails
 
 
-def _grouped(g: MultiGraph):
-    """Non-loop edges bundled by endpoint pair, in ascending smallest-id
-    order; undirected pairs are unordered."""
+def _net_for(g: MultiGraph) -> _Net:
+    """Non-loop edges bundled by (tail, head), bundles in ascending
+    smallest-id order; undirected edges keep tail <= head, so their pairs
+    are unordered.  Ids within a bundle ascend, as g.edges is in id order."""
     groups: dict[tuple[int, int], list[int]] = {}
     for e in g.edges:
-        if e.is_loop():
-            continue
-        key = (e.tail, e.head)
-        groups.setdefault(key, []).append(e.id)
-    return groups
-
-
-def _net_for(g: MultiGraph) -> _Net:
+        if not e.is_loop():
+            groups.setdefault((e.tail, e.head), []).append(e.id)
     net = _Net()
-    for (u, v), ids in _grouped(g).items():
-        bundle = tuple(sorted(ids))
-        if g.directed:
-            net.add_group(u, v, len(bundle), 0, bundle)
-        else:
-            net.add_group(u, v, len(bundle), len(bundle), bundle)
+    for (u, v), ids in groups.items():
+        net.add_group(u, v, len(ids), 0 if g.directed else len(ids), tuple(ids))
     return net
 
 
-def _check_pair(g: MultiGraph, u: int, v: int) -> None:
+def _solve(g: MultiGraph, u: int, v: int) -> tuple[_Net, int]:
+    """A maximum u-v flow; arcs run tail to head on a digraph, both ways on
+    a graph.  Returns the solved network and the flow value."""
     if u not in g.vertex_set or v not in g.vertex_set:
         raise GraphError(f"unknown vertex in pair ({u}, {v})")
     if u == v:
         raise GraphError("connectivity queries need two distinct vertices")
-
-
-def edge_connectivity(g: MultiGraph, u: int, v: int) -> int:
-    """Maximum number of pairwise edge-disjoint u-v trails (= minimum u-v
-    cut).  Undirected graphs; 0 when u and v are in different components."""
-    if g.directed:
-        raise GraphError("edge_connectivity applies to undirected graphs")
-    _check_pair(g, u, v)
     net = _net_for(g)
-    net.vertex(u), net.vertex(v)
-    return net.max_flow(u, v)
+    return net, net.max_flow(u, v)
 
 
 def directed_edge_connectivity(d: MultiGraph, u: int, v: int) -> int:
     """Maximum number of edge-disjoint directed u->v trails."""
     if not d.directed:
         raise GraphError("directed_edge_connectivity applies to digraphs")
-    _check_pair(d, u, v)
-    net = _net_for(d)
-    net.vertex(u), net.vertex(v)
-    return net.max_flow(u, v)
+    return _solve(d, u, v)[1]
 
 
 def min_cut(g: MultiGraph, u: int, v: int) -> CutResult:
-    """A minimum u-v edge cut; the side is the residual-reachable set around
-    u, so the result is deterministic."""
-    if g.directed:
-        raise GraphError("min_cut applies to undirected graphs; "
-                         "use directed_min_cut")
-    _check_pair(g, u, v)
-    net = _net_for(g)
-    net.vertex(u), net.vertex(v)
-    value = net.max_flow(u, v)
-    return CutResult(value, net.cut_side(u))
-
-
-def directed_min_cut(d: MultiGraph, u: int, v: int) -> CutResult:
-    if not d.directed:
-        raise GraphError("directed_min_cut applies to digraphs")
-    _check_pair(d, u, v)
-    net = _net_for(d)
-    net.vertex(u), net.vertex(v)
-    value = net.max_flow(u, v)
+    """A minimum u-v edge cut (u->v arcs on a digraph); its value is the
+    number of edge-disjoint u-v trails, 0 when no trail exists.  The side is
+    the residual-reachable set around u, so the result is deterministic."""
+    net, value = _solve(g, u, v)
     return CutResult(value, net.cut_side(u))
 
 

@@ -170,9 +170,12 @@ def extract_clique_immersion(g: MultiGraph, terminals) -> ImmersionCertificate:
     """Clique immersion certificate with phi(i) = terminals[i].
 
     Builds the fan of (t-1)^2 edge-disjoint trails out of terminals[0],
-    t-1 of them to each other terminal, then composes pairs of fan trails
-    back-to-back for the pattern edges that avoid terminals[0].  Feasibility
-    is re-checked by the fan itself; FanInfeasible carries the violated cut.
+    t-1 of them to each other terminal, and reads each fan trail as one
+    edge of thick_star(t): centre terminals[0], leaf l terminals[l].  The
+    pattern trails are thick_star_route(t) walked through that star, a
+    star edge taken from the centre riding its fan trail forwards and one
+    taken from the leaf riding it reversed.  Feasibility is re-checked by
+    the fan itself; FanInfeasible carries the violated cut.
     """
     if g.directed:
         raise GraphError("extract_clique_immersion applies to undirected hosts")
@@ -180,26 +183,23 @@ def extract_clique_immersion(g: MultiGraph, terminals) -> ImmersionCertificate:
     t = len(terms)
     source = terms[0]
     fan = menger_fan(g, source, {v: t - 1 for v in terms[1:]})
-    per_end: dict[int, list] = {v: [] for v in terms[1:]}
+    per_end: dict[int, list[tuple[int, ...]]] = {v: [] for v in terms[1:]}
     for tr in fan.trails:
-        per_end[tr.end].append(tr)
-    labeled: dict[tuple[int, int], tuple[int, ...]] = {}
-    for q in range(1, t):
-        j = q + 1
-        bundle = per_end[terms[q]]
-        if len(bundle) != t - 1:
-            raise GraphError("internal: fan returned a wrong trail count")
-        for lbl, tr in zip([i for i in range(1, t + 1) if i != j], bundle):
-            labeled[(j, lbl)] = tr.edges
+        per_end[tr.end].append(tr.edges)
+    if any(len(bundle) != t - 1 for bundle in per_end.values()):
+        raise GraphError("internal: fan returned a wrong trail count")
+    star = thick_star(t)
+    # A leaf's spoke copies take its terminal's fan trails in fan order.
+    bundles = {leaf: iter(per_end[terms[leaf]]) for leaf in range(1, t)}
+    spoke = {e.id: next(bundles[e.head]) for e in star.graph.edges}
     trails: dict[tuple[int, int], tuple[int, ...]] = {}
-    for q in range(1, t):
-        path = _trim_to_path(g, labeled[(q + 1, 1)], source, terms[q])
-        trails[(0, q)] = tuple(path)
-    for p in range(1, t):
-        for q in range(p + 1, t):
-            combined = list(reversed(labeled[(p + 1, q + 1)]))
-            combined.extend(labeled[(q + 1, p + 1)])
-            trails[(p, q)] = tuple(_trim_to_path(g, combined, terms[p], terms[q]))
+    for (p, q), star_trail in thick_star_route(t).trails.items():
+        here = p
+        walk: list[int] = []
+        for k in star_trail:
+            walk.extend(spoke[k] if here == 0 else reversed(spoke[k]))
+            here = star.graph.edge(k).other_end(here)
+        trails[(p, q)] = tuple(_trim_to_path(g, walk, terms[p], terms[q]))
     return ImmersionCertificate(t, False, tuple(terms), trails)
 
 
@@ -545,34 +545,51 @@ def outcome_to_json(outcome) -> dict:
     raise GraphError(f"cannot serialize {type(outcome).__name__}")
 
 
+def _int(x) -> int:
+    # int() would accept 2.7, "3" and True; a JSON integer must be an int.
+    if type(x) is not int:
+        raise GraphError(f"malformed artifact document: {x!r} is not an integer")
+    return x
+
+
+def _bool(x) -> bool:
+    if type(x) is not bool:
+        raise GraphError(f"malformed artifact document: {x!r} is not a boolean")
+    return x
+
+
 def outcome_from_json(obj) -> ImmersionCertificate | LaminarDecomposition:
+    """Inverse of outcome_to_json.  Strict: integer fields must be JSON
+    integers, ``directed`` a JSON boolean, and no pattern edge may carry two
+    trails; anything else raises GraphError."""
     try:
         kind = obj["kind"]
         if kind == "certificate":
             trails = {}
             for row in obj["trails"]:
-                trails[(int(row["u"]), int(row["v"]))] = tuple(
-                    int(x) for x in row["edges"]
-                )
+                key = (_int(row["u"]), _int(row["v"]))
+                if key in trails:
+                    raise GraphError(
+                        f"malformed artifact document: two trails for {key}"
+                    )
+                trails[key] = tuple(map(_int, row["edges"]))
             return ImmersionCertificate(
-                int(obj["t"]), bool(obj["directed"]),
-                tuple(int(x) for x in obj["phi"]), trails,
+                _int(obj["t"]), _bool(obj["directed"]),
+                tuple(map(_int, obj["phi"])), trails,
             )
         if kind == "decomposition":
             cuts = tuple(
                 SelectedCut(
-                    (int(c["tree_edge"][0]), int(c["tree_edge"][1])),
-                    frozenset(int(x) for x in c["side"]),
-                    frozenset(int(x) for x in c["other"]),
-                    int(c["size"]),
+                    (_int(c["tree_edge"][0]), _int(c["tree_edge"][1])),
+                    frozenset(map(_int, c["side"])),
+                    frozenset(map(_int, c["other"])),
+                    _int(c["size"]),
                 )
                 for c in obj["cuts"]
             )
-            blocks = tuple(
-                tuple(int(x) for x in b) for b in obj["blocks"]
-            )
+            blocks = tuple(tuple(map(_int, b)) for b in obj["blocks"])
             return LaminarDecomposition(
-                int(obj["t"]), bool(obj["directed"]), int(obj["threshold"]),
+                _int(obj["t"]), _bool(obj["directed"]), _int(obj["threshold"]),
                 cuts, blocks,
             )
     except (KeyError, TypeError, ValueError, IndexError) as exc:

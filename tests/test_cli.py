@@ -16,6 +16,14 @@ BIDIRECTED_TRIANGLE = serialize_graph(
     MultiGraph.directed_graph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)])
 )
 
+# Hand-written t=2 certificates: K5 edge 0 is 0-1; bidirected triangle
+# arcs 0 and 1 are 0->1 and 1->0.
+K5_T2 = {"kind": "certificate", "t": 2, "directed": False, "phi": [0, 1],
+         "trails": [{"u": 0, "v": 1, "edges": [0]}]}
+TRIANGLE2_T2 = {"kind": "certificate", "t": 2, "directed": True, "phi": [0, 1],
+                "trails": [{"u": 0, "v": 1, "edges": [0]},
+                           {"u": 1, "v": 0, "edges": [1]}]}
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -166,6 +174,33 @@ class TestVerify:
         bad.write_text("{not json")
         code = run("verify-cert", "--in", workdir / "k5.txt", "--artifact", bad)
         assert code == 2
+
+
+class TestStrictArtifacts:
+    """Values that int() or bool() would coerce into a valid certificate
+    are bad input (exit 2), not "certificate OK"."""
+
+    def _verify(self, workdir, host, doc):
+        art = workdir / "cert.json"
+        art.write_text(json.dumps(doc))
+        return run("verify-cert", "--in", workdir / host, "--artifact", art)
+
+    def test_exact_documents_verify(self, workdir, capsys):
+        assert self._verify(workdir, "k5.txt", K5_T2) == 0
+        assert self._verify(workdir, "triangle2.txt", TRIANGLE2_T2) == 0
+
+    @pytest.mark.parametrize("host, doc", [
+        ("k5.txt", {**K5_T2, "t": 2.7}),
+        ("k5.txt", {**K5_T2, "phi": [0, 1.9]}),
+        ("k5.txt", {**K5_T2, "trails": [{"u": 0, "v": 1, "edges": [0.4]}]}),
+        ("triangle2.txt", {**TRIANGLE2_T2, "directed": "no"}),
+        ("k5.txt", {**K5_T2, "trails": [{"u": 0, "v": 1, "edges": [5]},
+                                        {"u": 0, "v": 1, "edges": [0]}]}),
+    ], ids=["t-float", "phi-float", "edges-float", "directed-string",
+            "duplicate-trail"])
+    def test_coercible_documents_rejected(self, workdir, capsys, host, doc):
+        assert self._verify(workdir, host, doc) == 2
+        assert "malformed artifact" in capsys.readouterr().err
 
 
 class TestGomoryHu:

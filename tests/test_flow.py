@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 import brute
 from cliquecuts import (
+    CutResult,
     FanInfeasible,
     GraphError,
     MultiGraph,
     directed_edge_connectivity,
-    directed_min_cut,
-    edge_connectivity,
     menger_fan,
     min_cut,
     thick_star,
@@ -37,26 +36,22 @@ def bridge_of_triangles():
 class TestEdgeConnectivity:
     def test_three_parallel_edges(self):
         g = MultiGraph.undirected(2, [(0, 1)] * 3)
-        assert edge_connectivity(g, 0, 1) == 3
+        assert min_cut(g, 0, 1).value == 3
 
     def test_complete_graph_every_pair(self):
         g = complete_graph(5)
         assert all(
-            edge_connectivity(g, u, v) == 4
+            min_cut(g, u, v).value == 4
             for u, v in combinations(range(5), 2)
         )
 
     def test_disconnected_pair(self):
         g = MultiGraph.undirected(4, [(0, 1), (2, 3)])
-        assert edge_connectivity(g, 0, 3) == 0
+        assert min_cut(g, 0, 3).value == 0
 
     def test_same_vertex_rejected(self):
         with pytest.raises(GraphError):
-            edge_connectivity(MultiGraph.undirected(2, [(0, 1)]), 1, 1)
-
-    def test_directed_input_rejected(self):
-        with pytest.raises(GraphError):
-            edge_connectivity(MultiGraph.directed_graph(2, [(0, 1)]), 0, 1)
+            min_cut(MultiGraph.undirected(2, [(0, 1)]), 1, 1)
 
     @given(multigraphs(max_n=6, max_m=12, min_n=2), st.data())
     @settings(max_examples=120)
@@ -66,7 +61,7 @@ class TestEdgeConnectivity:
                 st.sampled_from(g.vertices), min_size=2, max_size=2, unique=True
             )
         )
-        assert edge_connectivity(g, u, v) == brute.min_cut_undirected(g, u, v)
+        assert min_cut(g, u, v).value == brute.min_cut_undirected(g, u, v)
 
 
 class TestDirectedConnectivity:
@@ -95,6 +90,16 @@ class TestDirectedConnectivity:
         d = MultiGraph.directed_graph(2, [(0, 1), (0, 1)])
         assert directed_edge_connectivity(d, 0, 1) == 2
         assert directed_edge_connectivity(d, 1, 0) == 0
+
+    def test_undirected_input_rejected(self):
+        with pytest.raises(GraphError):
+            directed_edge_connectivity(MultiGraph.undirected(2, [(0, 1)]), 0, 1)
+
+    def test_long_cycle_has_no_recursion_limit(self):
+        n = 1500
+        d = MultiGraph.directed_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        assert directed_edge_connectivity(d, 0, n - 1) == 1
+        assert directed_edge_connectivity(d, n - 1, 0) == 1
 
     @given(digraphs(max_n=6, max_m=12, min_n=2), st.data())
     @settings(max_examples=120)
@@ -141,9 +146,21 @@ class TestMinCut:
 
     def test_directed_cut_side(self):
         d = MultiGraph.directed_graph(3, [(0, 1), (1, 2), (2, 0)])
-        cut = directed_min_cut(d, 0, 2)
+        cut = min_cut(d, 0, 2)
         assert cut.value == 1
         assert 0 in cut.side and 2 not in cut.side
+
+    def test_directed_arcs_count_one_way(self):
+        d = MultiGraph.directed_graph(2, [(0, 1), (0, 1)])
+        assert min_cut(d, 0, 1) == CutResult(2, frozenset({0}))
+        assert min_cut(d, 1, 0) == CutResult(0, frozenset({1}))
+
+    def test_long_path_has_no_recursion_limit(self):
+        n = 1500
+        g = MultiGraph.undirected(n, [(i, i + 1) for i in range(n - 1)])
+        cut = min_cut(g, 0, n - 1)
+        assert cut.value == 1
+        assert cut.side == frozenset({0})
 
     @given(multigraphs(max_n=6, max_m=12, min_n=2), st.data())
     @settings(max_examples=120)
@@ -165,7 +182,7 @@ class TestMinCut:
                 st.sampled_from(d.vertices), min_size=2, max_size=2, unique=True
             )
         )
-        cut = directed_min_cut(d, u, v)
+        cut = min_cut(d, u, v)
         assert u in cut.side and v not in cut.side
         assert brute.out_arcs(d, cut.side) == cut.value
 
@@ -183,7 +200,7 @@ class TestMinCut:
                              enumerate(g.vertices)],
             False,
         )
-        assert edge_connectivity(looped, u, v) == edge_connectivity(g, u, v)
+        assert min_cut(looped, u, v).value == min_cut(g, u, v).value
 
 
 class TestMengerFan:
@@ -225,9 +242,9 @@ class TestMengerFan:
 
     def test_duality_with_min_cut(self):
         g = bridge_of_triangles()
-        k = edge_connectivity(g, 0, 5)
+        k = min_cut(g, 0, 5).value
         fan = menger_fan(g, 0, {5: k})
-        assert len(fan) == k == min_cut(g, 0, 5).value
+        assert len(fan) == k == 1
 
     @given(multigraphs(max_n=6, max_m=12, min_n=2), st.data())
     @settings(max_examples=100)
@@ -237,7 +254,7 @@ class TestMengerFan:
                 st.sampled_from(g.vertices), min_size=2, max_size=2, unique=True
             )
         )
-        k = edge_connectivity(g, u, v)
+        k = min_cut(g, u, v).value
         if k == 0:
             with pytest.raises(FanInfeasible):
                 menger_fan(g, u, {v: 1})

@@ -566,6 +566,49 @@ class TestOutcomeJson:
         with pytest.raises(GraphError):
             outcome_from_json({"kind": "certificate", "t": 2})
 
+    @pytest.mark.parametrize("path, value", [
+        (("t",), True),
+        (("t",), "3"),
+        (("phi", 1), 1.0),
+        (("trails", 0, "u"), False),
+        (("trails", 0, "edges", 0), "0"),
+        (("directed",), 0),
+        (("directed",), None),
+    ], ids=["t-bool", "t-string", "phi-float", "u-bool", "edge-string",
+            "directed-int", "directed-null"])
+    def test_certificate_field_types_enforced(self, path, value):
+        doc = outcome_to_json(decompose_undirected(complete_graph(5), 3))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(GraphError):
+            outcome_from_json(doc)
+
+    @pytest.mark.parametrize("path, value", [
+        (("threshold",), 4.0),
+        (("cuts", 0, "size"), True),
+        (("cuts", 0, "side", 0), "0"),
+        (("cuts", 0, "tree_edge", 1), 2.5),
+        (("blocks", 0, 0), None),
+        (("directed",), "false"),
+    ], ids=["threshold-float", "size-bool", "side-string", "tree-edge-float",
+            "block-null", "directed-string"])
+    def test_decomposition_field_types_enforced(self, path, value):
+        doc = outcome_to_json(decompose_undirected(bridge_of_triangles(), 3))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(GraphError):
+            outcome_from_json(doc)
+
+    def test_duplicate_trail_rejected(self):
+        doc = outcome_to_json(decompose_undirected(complete_graph(5), 3))
+        doc["trails"].append(dict(doc["trails"][0]))
+        with pytest.raises(GraphError, match="two trails"):
+            outcome_from_json(doc)
+
     def test_unserializable_value_rejected(self):
         with pytest.raises(GraphError):
             outcome_to_json("not an outcome")
