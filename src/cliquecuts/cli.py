@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 on success (both pipeline outcomes count as success for
-``decompose``), 1 when a verification fails or ``find`` yields no
-certificate, 2 on bad input or usage.
+Exit codes:
+
+0  success (both pipeline outcomes count as success for ``decompose``)
+1  a verification fails, or ``find`` yields no certificate
+2  bad input or usage
+3  internal error: a fault of the program, not of the input
+4  unsupported size: valid input beyond a deliberate size limit
 """
 from __future__ import annotations
 
@@ -18,7 +22,13 @@ from .generate import (
     simple_eulerian_min_outdeg,
 )
 from .gomoryhu import build_gomory_hu
-from .graphs import GraphError, MultiGraph, parse_graph, serialize_graph
+from .graphs import (
+    GraphError,
+    MultiGraph,
+    UnsupportedSizeError,
+    parse_graph,
+    serialize_graph,
+)
 from .immersion import (
     ImmersionCertificate,
     LaminarDecomposition,
@@ -199,12 +209,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
+    except UnsupportedSizeError as exc:
+        print(f"unsupported size: {exc}", file=sys.stderr)
+        return 4
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        # One line, no traceback: the user gets the code and the cause.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

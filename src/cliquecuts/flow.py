@@ -131,16 +131,20 @@ class _Net:
             res[a ^ 1] += got
         return got
 
-    def max_flow(self, s_id: int, t_id: int) -> int:
+    def max_flow(self, s_id: int, t_id: int, limit: int | None = None) -> int:
+        """The flow value; with a `limit`, augmenting stops once the value
+        is at least `limit`."""
         s, t = self.vertex(s_id), self.vertex(t_id)
         total = 0
-        while True:
+        while limit is None or total < limit:
             level = self._levels(s)
             if level[t] < 0:
-                return total
+                break
             it = [0] * len(self._verts)
-            while got := self._augment(s, t, level, it):
+            while (limit is None or total < limit) and (
+                    got := self._augment(s, t, level, it)):
                 total += got
+        return total
 
     def cut_side(self, s_id: int) -> frozenset:
         s = self.vertex(s_id)
@@ -222,6 +226,25 @@ def _solve(g: MultiGraph, u: int, v: int) -> tuple[_Net, int]:
         raise GraphError("connectivity queries need two distinct vertices")
     net = _net_for(g)
     return net, net.max_flow(u, v)
+
+
+def _bundle_flow(
+    caps: dict[tuple[int, int], int], s: int, t: int, limit: int | None = None
+) -> tuple[int, dict[tuple[int, int], int]]:
+    """A maximum s->t flow over arc bundles: caps maps (tail, head) to the
+    number of parallel arcs.  With a `limit`, augmenting stops once the
+    value is at least `limit`.  Returns the value and the flow on every
+    bundle that carries some."""
+    net = _Net()
+    for (x, y), c in caps.items():
+        net.add_group(x, y, c, 0, ())
+    value = net.max_flow(s, t, limit)
+    res = net._res
+    flow = {}
+    for i, (key, c) in enumerate(caps.items()):
+        if res[2 * i] < c:
+            flow[key] = c - res[2 * i]
+    return value, flow
 
 
 def directed_edge_connectivity(d: MultiGraph, u: int, v: int) -> int:

@@ -26,6 +26,10 @@ class NotEulerianError(GraphError):
     pass
 
 
+class UnsupportedSizeError(GraphError):
+    """Valid input beyond a deliberate size limit of an exact method."""
+
+
 @dataclass(frozen=True)
 class EdgeRecord:
     """One edge of a multigraph.  Undirected edges keep tail <= head."""

@@ -18,7 +18,12 @@ from typing import Iterable, Mapping
 
 from .flow import CutResult, menger_fan, min_cut
 from .gomoryhu import GomoryHuTree, build_gomory_hu
-from .graphs import GraphError, MultiGraph, NotEulerianError
+from .graphs import (
+    GraphError,
+    MultiGraph,
+    NotEulerianError,
+    UnsupportedSizeError,
+)
 from .transform import arborescence_path, pack_arborescences, reduce_to_terminals
 
 
@@ -445,7 +450,7 @@ def brute_force_immersion(t: int, host: MultiGraph, *,
         raise GraphError("t must be at least 2")
     real = [e for e in host.edges if not e.is_loop()]
     if len(real) > max_edges:
-        raise GraphError(
+        raise UnsupportedSizeError(
             f"oracle refuses hosts with more than {max_edges} non-loop edges"
         )
     pattern = pattern_edges(t, host.directed)

@@ -8,13 +8,17 @@ prescribed (possibly repeated) roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .flow import directed_edge_connectivity
+# directed_edge_connectivity stays a name of this module: perfbench/tracer.py
+# wraps transform.directed_edge_connectivity by name.
+from .flow import _bundle_flow, directed_edge_connectivity  # noqa: F401
 from .graphs import (
     GraphError,
     MultiGraph,
     NotEulerianError,
     ProvenanceMap,
+    UnsupportedSizeError,
     split_off,
 )
 
@@ -55,19 +59,97 @@ class ReducedDigraph:
     provenance: ProvenanceMap
 
 
+def _move_unit(bundles: dict[tuple[int, int], int], u: int, v: int,
+               w: int) -> None:
+    """Take one unit off the bundles u->v and v->w and, unless u == w (the
+    split makes a loop, which carries no flow), put it on u->w."""
+    for key in ((u, v), (v, w)):
+        if bundles[key] == 1:
+            del bundles[key]
+        else:
+            bundles[key] -= 1
+    if u != w:
+        bundles[(u, w)] = bundles.get((u, w), 0) + 1
+
+
+class _SplitGuard:
+    """Exact connectivity guard for splitting off arc pairs of an Eulerian
+    digraph, kept across any number of splits.
+
+    Splitting keeps a digraph Eulerian, and an Eulerian digraph has
+    lambda(a, b) == lambda(b, a), so each unordered guard pair {a, b} keeps
+    one maximum a->b flow over the arc bundles, of value lambda(a, b).  A
+    split never raises lambda, so it is admissible exactly when every pair
+    still has a flow of its value afterwards.  Most pairs show one without a
+    flow solve: their flow leaves slack on both split bundles, or carries a
+    unit over both, which moves onto the new arc.  The rest are solved
+    again on the split capacities, stopping at lambda.
+    """
+
+    def __init__(self, d: MultiGraph, pairs):
+        self._caps: dict[tuple[int, int], int] = {}
+        for e in d.edges:
+            if not e.is_loop():
+                key = (e.tail, e.head)
+                self._caps[key] = self._caps.get(key, 0) + 1
+        self._pairs = sorted({(min(a, b), max(a, b)) for a, b in pairs})
+        self._values: list[int] = []
+        self._flows: list[dict[tuple[int, int], int]] = []
+        for a, b in self._pairs:
+            value, flow = _bundle_flow(self._caps, a, b)
+            self._values.append(value)
+            self._flows.append(flow)
+
+    def _try(self, u: int, v: int, w: int) -> bool:
+        """Split one arc u->v and one arc v->w into u->w if that keeps every
+        pair's connectivity; report whether it did."""
+        caps = self._caps
+        reroute, resolve = [], []
+        for i, flow in enumerate(self._flows):
+            f_uv, f_vw = flow.get((u, v), 0), flow.get((v, w), 0)
+            if f_uv < caps[(u, v)] and f_vw < caps[(v, w)]:
+                continue
+            (reroute if f_uv and f_vw else resolve).append(i)
+        split = dict(caps)
+        _move_unit(split, u, v, w)
+        solved = []
+        for i in resolve:
+            (a, b), want = self._pairs[i], self._values[i]
+            value, flow = _bundle_flow(split, a, b, want)
+            if value < want:
+                return False
+            solved.append((i, flow))
+        self._caps = split
+        for i in reroute:
+            _move_unit(self._flows[i], u, v, w)
+        for i, flow in solved:
+            self._flows[i] = flow
+        return True
+
+    def split(self, d: MultiGraph, v: int) -> tuple[int, int]:
+        """First in/out edge pair at v (ascending ids) whose split keeps
+        every pair's connectivity; the guard then holds the split digraph.
+        `d` must be the digraph the guard holds."""
+        outs = d.out_edges(v)
+        for ei in d.in_edges(v):
+            for eo in outs:
+                if self._try(ei.tail, v, eo.head):
+                    return ei.id, eo.id
+        raise NoAdmissiblePairError(v)
+
+
 def admissible_split(
     d: MultiGraph,
     v: int,
     guard: list[tuple[int, int]],
-    *,
-    _baseline: dict[tuple[int, int], int] | None = None,
 ) -> tuple[int, int]:
     """First in/out edge pair at v (ascending ids) whose split leaves the
     directed connectivity of every guard pair unchanged.
 
-    The guard is a list of ordered vertex pairs not involving v.  For an
-    Eulerian input a pair always exists; running out of candidates means the
-    preconditions were violated and raises NoAdmissiblePairError.
+    The guard is a list of ordered vertex pairs not involving v; (a, b) and
+    (b, a) guard the same connectivity, as the input is Eulerian.  For an
+    Eulerian input a pair always exists; running out of candidates means
+    the preconditions were violated and raises NoAdmissiblePairError.
     """
     if not d.directed:
         raise GraphError("admissible_split applies to digraphs")
@@ -80,24 +162,9 @@ def admissible_split(
             raise GraphError("guard pairs must avoid the split vertex")
         if a == b or a not in d.vertex_set or b not in d.vertex_set:
             raise GraphError(f"bad guard pair ({a}, {b})")
-    ins = d.in_edges(v)
-    outs = d.out_edges(v)
-    if not ins or not outs:
+    if not d.in_edges(v) or not d.out_edges(v):
         raise GraphError(f"vertex {v} has no non-loop edges to split")
-    baseline = _baseline
-    if baseline is None:
-        baseline = {
-            pair: directed_edge_connectivity(d, *pair) for pair in guard
-        }
-    for ei in ins:
-        for eo in outs:
-            trial, _ = split_off(d, ei.id, eo.id)
-            if all(
-                directed_edge_connectivity(trial, a, b) == baseline[(a, b)]
-                for a, b in guard
-            ):
-                return ei.id, eo.id
-    raise NoAdmissiblePairError(v)
+    return _SplitGuard(d, guard).split(d, v)
 
 
 def reduce_to_terminals(d: MultiGraph, terminals) -> ReducedDigraph:
@@ -107,7 +174,8 @@ def reduce_to_terminals(d: MultiGraph, terminals) -> ReducedDigraph:
     the directed connectivity of every ordered terminal pair, and its
     provenance lifts each surviving edge to a directed trail of original
     edges.  Loops (original or created by splitting a digon) are dropped
-    along with their provenance.
+    along with their provenance.  Each split is the first admissible pair
+    at its vertex, as admissible_split would pick it.
     """
     if not d.directed:
         raise GraphError("reduce_to_terminals applies to digraphs")
@@ -124,11 +192,12 @@ def reduce_to_terminals(d: MultiGraph, terminals) -> ReducedDigraph:
     if loops:
         g = g.without_edges(loops)
         prov = prov.drop(loops)
-    guard = [(a, b) for a in terms for b in terms if a != b]
-    baseline = {pair: directed_edge_connectivity(g, *pair) for pair in guard}
-    for v in sorted(g.vertex_set - set(terms)):
+    rest = sorted(g.vertex_set - set(terms))
+    if rest:
+        guard = _SplitGuard(g, combinations(terms, 2))
+    for v in rest:
         while g.degree(v) != (0, 0):
-            e_in, e_out = admissible_split(g, v, guard, _baseline=baseline)
+            e_in, e_out = guard.split(g, v)
             fresh = g.next_edge_id
             g, prov = split_off(g, e_in, e_out, prov)
             if g.edge(fresh).is_loop():
@@ -182,7 +251,8 @@ def pack_arborescences(d: MultiGraph, roots) -> list[Arborescence]:
     verts = d.vertices
     n = len(verts)
     if n > 14:
-        raise GraphError("packing is limited to 14 vertices")
+        raise UnsupportedSizeError(
+            f"packing is limited to 14 vertices, got {n}")
     bit = {v: 1 << i for i, v in enumerate(verts)}
     full = (1 << n) - 1
     arcs = [

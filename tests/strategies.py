@@ -28,11 +28,14 @@ def digraphs(draw, max_n: int = 7, max_m: int = 14, min_n: int = 1):
 
 
 @st.composite
-def eulerian_digraphs(draw, max_n: int = 8, max_cycles: int = 5):
+def eulerian_digraphs(draw, max_n: int = 8, max_cycles: int = 5,
+                      max_copies: int = 1):
     """Balanced digraph built by superposing directed cycles.
 
     Cycles of length two produce digons; repeated cycles produce
-    parallel arcs.  Always Eulerian by construction.
+    parallel arcs, and each cycle is laid down 1..max_copies times, so
+    bundles of parallel arcs can be thick.  Always Eulerian by
+    construction.
     """
     n = draw(st.integers(min_value=2, max_value=max_n))
     cycle = st.lists(
@@ -44,6 +47,7 @@ def eulerian_digraphs(draw, max_n: int = 8, max_cycles: int = 5):
     cycles = draw(st.lists(cycle, min_size=0, max_size=max_cycles))
     pairs = []
     for cyc in cycles:
+        copies = draw(st.integers(min_value=1, max_value=max_copies))
         for i, u in enumerate(cyc):
-            pairs.append((u, cyc[(i + 1) % len(cyc)]))
+            pairs.extend([(u, cyc[(i + 1) % len(cyc)])] * copies)
     return MultiGraph.directed_graph(n, pairs)

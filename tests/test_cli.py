@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cliquecuts import MultiGraph, parse_graph, serialize_graph
+import cliquecuts.cli
+from cliquecuts import (
+    MultiGraph,
+    decompose_undirected,
+    outcome_to_json,
+    parse_graph,
+    serialize_graph,
+)
 from cliquecuts.cli import main
 from test_flow import bridge_of_triangles, complete_graph
 
@@ -201,6 +213,127 @@ class TestStrictArtifacts:
     def test_coercible_documents_rejected(self, workdir, capsys, host, doc):
         assert self._verify(workdir, host, doc) == 2
         assert "malformed artifact" in capsys.readouterr().err
+
+
+# (command, host text, valid artifact) for the fuzzing below.
+FUZZ_SEEDS = {
+    "undirected-certificate": (
+        "verify-cert", K5,
+        outcome_to_json(decompose_undirected(complete_graph(5), 3))),
+    "directed-certificate": ("verify-cert", BIDIRECTED_TRIANGLE, TRIANGLE2_T2),
+    "decomposition": (
+        "verify-dec", BRIDGE,
+        outcome_to_json(decompose_undirected(bridge_of_triangles(), 3))),
+}
+
+
+def _locations(doc, path=()):
+    """(path, value) of every value inside a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,), value
+        yield from _locations(value, path + (key,))
+
+
+def _wrong_types(value):
+    if type(value) is bool:
+        return [int(value), str(value).lower()]
+    if type(value) is int:
+        return [float(value), value + 0.5, str(value), True, False]
+    if type(value) is str:
+        return [0, None, [value]]
+    return []
+
+
+@st.composite
+def mutated_artifacts(draw):
+    """A valid artifact with one defect, and the exit codes that may
+    answer it: a type-broken document is bad input (2); one that is only
+    cut short may also be an invalid artifact (1); none verifies."""
+    name = draw(st.sampled_from(sorted(FUZZ_SEEDS)))
+    command, host, doc = FUZZ_SEEDS[name]
+    doc = copy.deepcopy(doc)
+    places = list(_locations(doc))
+    kinds = ["retype", "drop", "truncate"]
+    if doc["kind"] == "certificate":
+        kinds.append("duplicate")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "retype":
+        path, value = draw(st.sampled_from(
+            [(p, v) for p, v in places if _wrong_types(v)]))
+        new = draw(st.sampled_from(_wrong_types(value)))
+        expect = {2}
+    elif kind == "drop":
+        path = draw(st.sampled_from(
+            [p for p, _ in places if isinstance(p[-1], str)]))
+        expect = {2}
+    elif kind == "truncate":
+        path, value = draw(st.sampled_from(
+            [(p, v) for p, v in places if isinstance(v, list) and v]))
+        new = value[:draw(st.integers(0, len(value) - 1))]
+        expect = {1, 2}
+    else:
+        path = ("trails",)
+        new = doc["trails"] + [copy.deepcopy(
+            draw(st.sampled_from(doc["trails"])))]
+        expect = {2}
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return command, host, doc, expect, f"{kind} {path}"
+
+
+class TestArtifactFuzzing:
+    @given(mutated_artifacts())
+    @settings(max_examples=200, deadline=None)
+    def test_broken_documents_never_verify(self, case):
+        command, host, doc, expect, what = case
+        with tempfile.TemporaryDirectory() as tmp:
+            host_path = Path(tmp) / "host.txt"
+            host_path.write_text(host)
+            art = Path(tmp) / "artifact.json"
+            art.write_text(json.dumps(doc))
+            code = main([command, "--in", str(host_path),
+                         "--artifact", str(art)])
+        assert code in expect, what
+
+    def test_seeds_verify(self, workdir, capsys):
+        for command, host, doc in FUZZ_SEEDS.values():
+            (workdir / "host.txt").write_text(host)
+            (workdir / "artifact.json").write_text(json.dumps(doc))
+            assert run(command, "--in", workdir / "host.txt",
+                       "--artifact", workdir / "artifact.json") == 0
+
+
+class TestExitCodes:
+    def test_internal_error_is_one_line(self, workdir, capsys, monkeypatch):
+        def broken(g):
+            raise RuntimeError("cut tree lost an edge")
+        monkeypatch.setattr(cliquecuts.cli, "build_gomory_hu", broken)
+        code = run("gomory-hu", "--in", workdir / "bridge.txt")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "internal error: RuntimeError: cut tree lost an edge\n")
+
+    def test_unsupported_size(self, workdir, capsys):
+        # t = 15 passes the cut test only with 15 parallel arcs per ordered
+        # pair of a 15-vertex host; packing 15 terminals exceeds its limit.
+        pairs = [(a, b) for a in range(15) for b in range(15) if a != b]
+        host = workdir / "k15.txt"
+        host.write_text(serialize_graph(
+            MultiGraph.directed_graph(15, pairs * 15)))
+        code = run("decompose", "--t", 15, "--mode", "directed", "--in", host)
+        assert code == 4
+        assert capsys.readouterr().err.startswith("unsupported size: ")
 
 
 class TestGomoryHu:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,8 @@ from cliquecuts import (
     NoAdmissiblePairError,
     NotEulerianError,
     PackInfeasible,
+    ProvenanceMap,
+    UnsupportedSizeError,
     admissible_split,
     arborescence_path,
     directed_edge_connectivity,
@@ -23,6 +25,48 @@ from cliquecuts import (
     split_off,
 )
 from strategies import eulerian_digraphs
+
+
+def reference_split(d, v, guard, baseline):
+    """The first in/out edge pair at v (ascending ids) whose split keeps
+    every ordered guard pair at its baseline connectivity, or None: every
+    trial split built as a digraph, every pair solved afresh."""
+    for ei in d.in_edges(v):
+        for eo in d.out_edges(v):
+            trial, _ = split_off(d, ei.id, eo.id)
+            if all(
+                directed_edge_connectivity(trial, a, b) == baseline[(a, b)]
+                for a, b in guard
+            ):
+                return ei.id, eo.id
+    return None
+
+
+def reference_reduce(d, terminals):
+    """reduce_to_terminals the slow way, through reference_split.  Returns
+    the reduced digraph, its provenance, and every digraph on the way."""
+    terms = sorted(set(terminals))
+    loops = [e.id for e in d.edges if e.is_loop()]
+    g = d.without_edges(loops)
+    prov = ProvenanceMap.identity(d).drop(loops)
+    guard = list(permutations(terms, 2))
+    baseline = {pair: directed_edge_connectivity(g, *pair) for pair in guard}
+    steps = []
+    for v in sorted(g.vertex_set - set(terms)):
+        while g.degree(v) != (0, 0):
+            steps.append(g)
+            fresh = g.next_edge_id
+            g, prov = split_off(g, *reference_split(g, v, guard, baseline), prov)
+            if g.edge(fresh).is_loop():
+                g = g.without_edges([fresh])
+                prov = prov.drop([fresh])
+        g = g.without_vertex(v)
+    steps.append(g)
+    return g, prov, steps
+
+
+def edge_table(g):
+    return [(e.id, e.tail, e.head) for e in g.edges]
 
 
 def bidirected_triangle():
@@ -78,6 +122,38 @@ class TestAdmissibleSplit:
         trial, _ = split_off(d, e_in, e_out)
         assert directed_edge_connectivity(trial, 0, 1) == 2
         assert directed_edge_connectivity(trial, 1, 0) == 2
+
+    def test_ordered_and_unordered_guard_agree(self):
+        # Vertex 0 sits on digons with 1, 2 and 3, and 1, 2 share a digon.
+        # Splitting 1->0, 0->1 into a loop lowers lambda(1, 2) but not
+        # lambda(1, 3), so the pairs pick different splits, whichever way
+        # round they are given.
+        d = MultiGraph.directed_graph(
+            4, [(1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3), (1, 2), (2, 1)]
+        )
+        for pair in ((1, 2), (1, 3), (2, 3)):
+            a, b = pair
+            both = admissible_split(d, 0, [(a, b), (b, a)])
+            assert admissible_split(d, 0, [(a, b)]) == both
+            assert admissible_split(d, 0, [(b, a)]) == both
+        guard = list(permutations((1, 2, 3), 2))
+        baseline = {p: directed_edge_connectivity(d, *p) for p in guard}
+        assert admissible_split(d, 0, guard) == reference_split(
+            d, 0, guard, baseline)
+
+    @given(eulerian_digraphs(max_n=6, max_cycles=4, max_copies=3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, d, data):
+        movable = [v for v in d.vertices if d.in_edges(v)]
+        if not movable:
+            return
+        v = data.draw(st.sampled_from(movable))
+        pairs = list(permutations([u for u in d.vertices if u != v], 2))
+        guard = data.draw(st.lists(
+            st.sampled_from(pairs), max_size=4, unique=True)) if pairs else []
+        baseline = {p: directed_edge_connectivity(d, *p) for p in guard}
+        assert admissible_split(d, v, guard) == reference_split(
+            d, v, guard, baseline)
 
     def test_rejects_unbalanced(self):
         d = MultiGraph.directed_graph(3, [(0, 1), (1, 2)])
@@ -170,6 +246,37 @@ class TestReduceToTerminals:
         assert len(seen) == len(set(seen))
         assert set(seen) <= originals
 
+    @given(eulerian_digraphs(max_n=7, max_cycles=5, max_copies=3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, d, data):
+        # Same splits in the same order: same edges, ids and provenance.
+        terms = data.draw(
+            st.lists(
+                st.sampled_from(d.vertices), min_size=2, max_size=4, unique=True
+            )
+        )
+        red = reduce_to_terminals(d, terms)
+        g, prov, _ = reference_reduce(d, terms)
+        assert red.digraph.vertex_set == g.vertex_set
+        assert edge_table(red.digraph) == edge_table(g)
+        assert red.digraph.next_edge_id == g.next_edge_id
+        assert dict(red.provenance.items()) == dict(prov.items())
+
+    @given(eulerian_digraphs(max_n=6, max_cycles=4, max_copies=2), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_connectivity_symmetric_along_splits(self, d, data):
+        # The guard keeps one flow per unordered pair, which is exact only
+        # while lambda(a, b) == lambda(b, a) on every digraph it meets.
+        terms = data.draw(
+            st.lists(
+                st.sampled_from(d.vertices), min_size=2, max_size=3, unique=True
+            )
+        )
+        for g in reference_reduce(d, terms)[2]:
+            for a, b in combinations(g.vertices, 2):
+                assert directed_edge_connectivity(
+                    g, a, b) == directed_edge_connectivity(g, b, a)
+
     @given(eulerian_digraphs(max_n=6, max_cycles=3), st.data())
     @settings(max_examples=40, deadline=None)
     def test_strong_connectivity_floor_carries_over(self, d, data):
@@ -231,6 +338,11 @@ class TestPackArborescences:
         exc = info.value
         assert brute.out_arcs(d, d.vertex_set - exc.violating_set) == exc.indegree
         assert exc.indegree < exc.required
+
+    def test_size_limit_is_its_own_error(self):
+        d = directed_cycle(15)
+        with pytest.raises(UnsupportedSizeError, match="14 vertices"):
+            pack_arborescences(d, [0])
 
     def test_loops_are_ignored(self):
         d = MultiGraph.directed_graph(2, [(0, 1), (1, 0), (1, 1)])
