@@ -41,8 +41,16 @@ from .immersion import (
 )
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(
+            f"{path} is not UTF-8 text (byte {exc.start})") from None
+
+
 def _read_graph(path: str) -> MultiGraph:
-    return parse_graph(Path(path).read_text())
+    return parse_graph(_read_text(path))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -85,7 +93,7 @@ def _cmd_find(args) -> int:
 
 def _load_artifact(path: str):
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise GraphError(f"artifact is not valid JSON: {exc}") from None
     return outcome_from_json(obj)

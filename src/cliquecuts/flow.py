@@ -87,37 +87,48 @@ class _Net:
         self._adj[ui].append(a)
         self._adj[vi].append(a + 1)
 
-    def _levels(self, s: int) -> list[int]:
+    def _levels(self, s: int, t: int) -> list[int]:
+        """BFS levels from s in the residual network, -1 where unreached.
+        The search stops once t is labelled: a vertex at t's level or
+        beyond is a dead end of the level graph, labelled or not, so the
+        augmenting paths are the same as after a full search."""
+        adj, to, res = self._adj, self._to, self._res
         level = [-1] * len(self._verts)
         level[s] = 0
         queue = deque([s])
         while queue:
             x = queue.popleft()
-            for a in self._adj[x]:
-                if self._res[a] > 0 and level[self._to[a]] < 0:
-                    level[self._to[a]] = level[x] + 1
-                    queue.append(self._to[a])
+            nxt = level[x] + 1
+            for a in adj[x]:
+                y = to[a]
+                if res[a] > 0 and level[y] < 0:
+                    level[y] = nxt
+                    if y == t:
+                        return level
+                    queue.append(y)
         return level
 
-    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        """Push one augmenting path of the level graph and return its value,
-        0 once none is left.  A depth-first walk on an explicit stack of
-        arcs; it[x] moves past an arc only when that arc leaves the level
-        graph or leads to a dead end, so paths come out in the order of a
-        recursive search, with no recursion limit."""
+    def _augment(self, s: int, t: int, level: list[int], it: list[int],
+                 room: int | None) -> int:
+        """Push one augmenting path of the level graph, at most `room` units
+        of it when `room` is given, and return the amount pushed, 0 once no
+        path is left.  A depth-first walk on an explicit stack of arcs;
+        it[x] moves past an arc only when that arc leaves the level graph or
+        leads to a dead end, so paths come out in the order of a recursive
+        search, with no recursion limit."""
         adj, to, res = self._adj, self._to, self._res
         path: list[int] = []
         x = s
         while x != t:
             arcs = adj[x]
-            i = it[x]
-            while i < len(arcs):
+            i, end, nxt = it[x], len(arcs), level[x] + 1
+            while i < end:
                 a = arcs[i]
-                if res[a] > 0 and level[to[a]] == level[x] + 1:
+                if res[a] > 0 and level[to[a]] == nxt:
                     break
                 i += 1
             it[x] = i
-            if i < len(arcs):
+            if i < end:
                 path.append(arcs[i])
                 x = to[arcs[i]]
             elif path:
@@ -126,23 +137,29 @@ class _Net:
             else:
                 return 0
         got = min(res[a] for a in path)
+        if room is not None and got > room:
+            got = room
         for a in path:
             res[a] -= got
             res[a ^ 1] += got
         return got
 
     def max_flow(self, s_id: int, t_id: int, limit: int | None = None) -> int:
-        """The flow value; with a `limit`, augmenting stops once the value
-        is at least `limit`."""
+        """Augment from s to t and return the amount pushed: a maximum flow,
+        or exactly `limit` units when the residual network holds that many
+        (the last path is pushed only in part)."""
         s, t = self.vertex(s_id), self.vertex(t_id)
         total = 0
         while limit is None or total < limit:
-            level = self._levels(s)
+            level = self._levels(s, t)
             if level[t] < 0:
                 break
             it = [0] * len(self._verts)
-            while (limit is None or total < limit) and (
-                    got := self._augment(s, t, level, it)):
+            while limit is None or total < limit:
+                room = None if limit is None else limit - total
+                got = self._augment(s, t, level, it, room)
+                if not got:
+                    break
                 total += got
         return total
 
@@ -226,25 +243,6 @@ def _solve(g: MultiGraph, u: int, v: int) -> tuple[_Net, int]:
         raise GraphError("connectivity queries need two distinct vertices")
     net = _net_for(g)
     return net, net.max_flow(u, v)
-
-
-def _bundle_flow(
-    caps: dict[tuple[int, int], int], s: int, t: int, limit: int | None = None
-) -> tuple[int, dict[tuple[int, int], int]]:
-    """A maximum s->t flow over arc bundles: caps maps (tail, head) to the
-    number of parallel arcs.  With a `limit`, augmenting stops once the
-    value is at least `limit`.  Returns the value and the flow on every
-    bundle that carries some."""
-    net = _Net()
-    for (x, y), c in caps.items():
-        net.add_group(x, y, c, 0, ())
-    value = net.max_flow(s, t, limit)
-    res = net._res
-    flow = {}
-    for i, (key, c) in enumerate(caps.items()):
-        if res[2 * i] < c:
-            flow[key] = c - res[2 * i]
-    return value, flow
 
 
 def directed_edge_connectivity(d: MultiGraph, u: int, v: int) -> int:

@@ -40,11 +40,13 @@ class GomoryHuTree:
         for e in self.edges:
             self._adj[e.a].append((e.b, e))
             self._adj[e.b].append((e.a, e))
+        # Components are numbered 0, 1, ... in order of smallest member.
         self._comp: dict[int, int] = {}
+        cid = -1
         for v in self.vertices:
             if v in self._comp:
                 continue
-            cid = len(set(self._comp.values()))
+            cid += 1
             queue = deque([v])
             self._comp[v] = cid
             while queue:

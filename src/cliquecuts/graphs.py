@@ -343,7 +343,8 @@ def split_off(
 def parse_graph(text: str) -> MultiGraph:
     """Read the edge-list format: a header line ``graph n m`` or
     ``digraph n m`` and then exactly m lines ``u v`` with 0-based endpoints.
-    ``#`` starts a comment that runs to the end of the line."""
+    Every number is a run of ASCII digits.  ``#`` starts a comment that runs
+    to the end of the line."""
     rows: list[tuple[int, str]] = []
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -355,12 +356,11 @@ def parse_graph(text: str) -> MultiGraph:
     parts = head.split()
     if len(parts) != 3 or parts[0] not in ("graph", "digraph"):
         raise ParseError(f"malformed header {head!r}", head_no)
-    try:
-        n, m = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(f"malformed header {head!r}", head_no) from None
-    if n < 0 or m < 0:
+    # Numbers are runs of ASCII digits: int() alone would also take signs,
+    # underscores and the digits of other scripts.
+    if not all(p.isdigit() and p.isascii() for p in parts[1:]):
         raise ParseError(f"malformed header {head!r}", head_no)
+    n, m = int(parts[1]), int(parts[2])
     body = rows[1:]
     if len(body) != m:
         raise ParseError(f"expected {m} edge lines, found {len(body)}", head_no)
@@ -368,12 +368,10 @@ def parse_graph(text: str) -> MultiGraph:
     edges = []
     for eid, (no, line) in enumerate(body):
         toks = line.split()
-        if len(toks) != 2:
+        if not (len(toks) == 2 and toks[0].isdigit() and toks[1].isdigit()
+                and toks[0].isascii() and toks[1].isascii()):
             raise ParseError(f"expected 'u v', got {line!r}", no)
-        try:
-            u, v = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise ParseError(f"expected 'u v', got {line!r}", no) from None
+        u, v = int(toks[0]), int(toks[1])
         if not (0 <= u < n) or not (0 <= v < n):
             raise ParseError(f"vertex index out of range in {line!r}", no)
         edges.append((eid, u, v))

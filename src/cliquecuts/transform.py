@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-# directed_edge_connectivity stays a name of this module: perfbench/tracer.py
-# wraps transform.directed_edge_connectivity by name.
-from .flow import _bundle_flow, directed_edge_connectivity  # noqa: F401
-from .graphs import (
+# directed_edge_connectivity and split_off stay names of this module:
+# perfbench/tracer.py wraps transform.directed_edge_connectivity and
+# transform.split_off by name.
+from .flow import _Net, directed_edge_connectivity  # noqa: F401
+from .graphs import (  # noqa: F401
     GraphError,
     MultiGraph,
     NotEulerianError,
@@ -59,82 +60,112 @@ class ReducedDigraph:
     provenance: ProvenanceMap
 
 
-def _move_unit(bundles: dict[tuple[int, int], int], u: int, v: int,
-               w: int) -> None:
-    """Take one unit off the bundles u->v and v->w and, unless u == w (the
-    split makes a loop, which carries no flow), put it on u->w."""
-    for key in ((u, v), (v, w)):
-        if bundles[key] == 1:
-            del bundles[key]
-        else:
-            bundles[key] -= 1
-    if u != w:
-        bundles[(u, w)] = bundles.get((u, w), 0) + 1
-
-
 class _SplitGuard:
     """Exact connectivity guard for splitting off arc pairs of an Eulerian
     digraph, kept across any number of splits.
 
     Splitting keeps a digraph Eulerian, and an Eulerian digraph has
     lambda(a, b) == lambda(b, a), so each unordered guard pair {a, b} keeps
-    one maximum a->b flow over the arc bundles, of value lambda(a, b).  A
-    split never raises lambda, so it is admissible exactly when every pair
-    still has a flow of its value afterwards.  Most pairs show one without a
-    flow solve: their flow leaves slack on both split bundles, or carries a
-    unit over both, which moves onto the new arc.  The rest are solved
-    again on the split capacities, stopping at lambda.
+    one maximum a->b flow, of value lambda(a, b).  All pairs share one
+    network with an arc slot per (tail, head) bundle, and each pair owns a
+    residual list for it, swapped in to augment.  A split never raises
+    lambda, so it is admissible exactly when every pair still has a flow of
+    its value afterwards.  A pair whose flow leaves slack on both split
+    bundles, or carries a unit over both (the unit moves onto the new arc),
+    has one as it is.  Otherwise one split bundle is saturated and the
+    other unused, and the saturated bundle x->y gives up a unit.  The split
+    keeps the pair's value exactly when that unit can be rerouted by a
+    residual x->y path: if g is a flow of the old value on the split
+    digraph and f the flow short of the unit, g - f sends one unit from x
+    to y over residual arcs of f.
     """
 
-    def __init__(self, d: MultiGraph, pairs):
-        self._caps: dict[tuple[int, int], int] = {}
-        for e in d.edges:
-            if not e.is_loop():
-                key = (e.tail, e.head)
-                self._caps[key] = self._caps.get(key, 0) + 1
+    def __init__(self, vertices, arcs, pairs):
+        self._net = _Net()
+        for x in vertices:
+            self._net.vertex(x)
+        caps: dict[tuple[int, int], int] = {}
+        for key in arcs:
+            caps[key] = caps.get(key, 0) + 1
+        # Bundle x->y with capacity c and flow f is the arc pair at
+        # slots[(x, y)]: residual c - f forwards, f backwards.
+        self._slots: dict[tuple[int, int], int] = {}
+        for (x, y), c in caps.items():
+            self._slots[(x, y)] = len(self._net._to)
+            self._net.add_group(x, y, c, 0, ())
+        init = self._net._res
         self._pairs = sorted({(min(a, b), max(a, b)) for a, b in pairs})
-        self._values: list[int] = []
-        self._flows: list[dict[tuple[int, int], int]] = []
+        self._flows: list[list[int]] = []  # per pair: its residual list
         for a, b in self._pairs:
-            value, flow = _bundle_flow(self._caps, a, b)
-            self._values.append(value)
-            self._flows.append(flow)
+            res = list(init)
+            self._push(res, a, b, None)
+            self._flows.append(res)
 
-    def _try(self, u: int, v: int, w: int) -> bool:
+    def _slot(self, x: int, y: int) -> int:
+        """The forward arc of bundle x->y, added with capacity 0 if new."""
+        a = self._slots.get((x, y))
+        if a is None:
+            a = self._slots[(x, y)] = len(self._net._to)
+            self._net.add_group(x, y, 0, 0, ())
+            # add_group grew the residual list swapped in last; grow every
+            # pair's list that it was not.
+            for res in self._flows:
+                if len(res) == a:
+                    res += (0, 0)
+        return a
+
+    def _push(self, res: list[int], s: int, t: int, limit: int | None) -> int:
+        self._net._res = res
+        return self._net.max_flow(s, t, limit)
+
+    def split(self, u: int, v: int, w: int) -> bool:
         """Split one arc u->v and one arc v->w into u->w if that keeps every
         pair's connectivity; report whether it did."""
-        caps = self._caps
-        reroute, resolve = [], []
-        for i, flow in enumerate(self._flows):
-            f_uv, f_vw = flow.get((u, v), 0), flow.get((v, w), 0)
-            if f_uv < caps[(u, v)] and f_vw < caps[(v, w)]:
-                continue
-            (reroute if f_uv and f_vw else resolve).append(i)
-        split = dict(caps)
-        _move_unit(split, u, v, w)
-        solved = []
-        for i in resolve:
-            (a, b), want = self._pairs[i], self._values[i]
-            value, flow = _bundle_flow(split, a, b, want)
-            if value < want:
-                return False
-            solved.append((i, flow))
-        self._caps = split
-        for i in reroute:
-            _move_unit(self._flows[i], u, v, w)
-        for i, flow in solved:
-            self._flows[i] = flow
+        uv, vw = self._slot(u, v), self._slot(v, w)
+        uw = self._slot(u, w) if u != w else None
+        slack, carry, rerouted = [], [], []
+        for i, res in enumerate(self._flows):
+            if res[uv] and res[vw]:
+                slack.append(res)
+            elif res[uv + 1] and res[vw + 1]:
+                carry.append(res)
+            else:
+                # Both bundles have an arc, so the saturated one carries
+                # flow and the other none.  Take the split network's
+                # residuals with one unit off the saturated x->y.
+                x, y, sat, idle = (
+                    (u, v, uv, vw) if res[uv + 1] else (v, w, vw, uv))
+                trial = list(res)
+                trial[sat + 1] -= 1
+                trial[idle] -= 1
+                if uw is not None:
+                    trial[uw] += 1
+                if not self._push(trial, x, y, 1):
+                    return False
+                rerouted.append((i, trial))
+        for res in slack:
+            res[uv] -= 1
+            res[vw] -= 1
+            if uw is not None:
+                res[uw] += 1
+        for res in carry:
+            res[uv + 1] -= 1
+            res[vw + 1] -= 1
+            if uw is not None:
+                res[uw + 1] += 1
+        for i, trial in rerouted:
+            self._flows[i] = trial
         return True
 
-    def split(self, d: MultiGraph, v: int) -> tuple[int, int]:
-        """First in/out edge pair at v (ascending ids) whose split keeps
-        every pair's connectivity; the guard then holds the split digraph.
-        `d` must be the digraph the guard holds."""
-        outs = d.out_edges(v)
-        for ei in d.in_edges(v):
-            for eo in outs:
-                if self._try(ei.tail, v, eo.head):
-                    return ei.id, eo.id
+    def first_split(self, v: int, ins, outs) -> tuple[int, int]:
+        """First arc of `ins`, (id, tail) pairs of the arcs into v, and of
+        `outs`, (id, head) pairs of the arcs out of v, both in ascending
+        ids, whose split keeps every pair's connectivity; the guard then
+        holds the split digraph."""
+        for ei, u in ins:
+            for eo, w in outs:
+                if self.split(u, v, w):
+                    return ei, eo
         raise NoAdmissiblePairError(v)
 
 
@@ -162,9 +193,12 @@ def admissible_split(
             raise GraphError("guard pairs must avoid the split vertex")
         if a == b or a not in d.vertex_set or b not in d.vertex_set:
             raise GraphError(f"bad guard pair ({a}, {b})")
-    if not d.in_edges(v) or not d.out_edges(v):
+    ins, outs = d.in_edges(v), d.out_edges(v)
+    if not ins or not outs:
         raise GraphError(f"vertex {v} has no non-loop edges to split")
-    return _SplitGuard(d, guard).split(d, v)
+    arcs = [e.ends() for e in d.edges if not e.is_loop()]
+    return _SplitGuard(d.vertices, arcs, guard).first_split(
+        v, [(e.id, e.tail) for e in ins], [(e.id, e.head) for e in outs])
 
 
 def reduce_to_terminals(d: MultiGraph, terminals) -> ReducedDigraph:
@@ -175,7 +209,8 @@ def reduce_to_terminals(d: MultiGraph, terminals) -> ReducedDigraph:
     provenance lifts each surviving edge to a directed trail of original
     edges.  Loops (original or created by splitting a digon) are dropped
     along with their provenance.  Each split is the first admissible pair
-    at its vertex, as admissible_split would pick it.
+    at its vertex, as admissible_split would pick it, and takes the next
+    edge id, as split_off would give it.
     """
     if not d.directed:
         raise GraphError("reduce_to_terminals applies to digraphs")
@@ -186,25 +221,36 @@ def reduce_to_terminals(d: MultiGraph, terminals) -> ReducedDigraph:
         raise GraphError("need at least two terminals")
     if not set(terms) <= d.vertex_set:
         raise GraphError("terminals must be vertices of the digraph")
-    g = d
-    prov = ProvenanceMap.identity(d)
-    loops = [e.id for e in g.edges if e.is_loop()]
-    if loops:
-        g = g.without_edges(loops)
-        prov = prov.drop(loops)
-    rest = sorted(g.vertex_set - set(terms))
+    # The working digraph, split in place: per vertex, its arcs in and out
+    # as {arc id: other end}, in ascending ids (a split's fresh id is the
+    # largest yet).
+    ins: dict[int, dict[int, int]] = {x: {} for x in d.vertices}
+    outs: dict[int, dict[int, int]] = {x: {} for x in d.vertices}
+    prov: dict[int, tuple[int, ...]] = {}
+    arcs = []
+    for e in d.edges:
+        if not e.is_loop():
+            outs[e.tail][e.id], ins[e.head][e.id] = e.head, e.tail
+            prov[e.id] = (e.id,)
+            arcs.append(e.ends())
+    fresh = d.next_edge_id
+    rest = sorted(d.vertex_set - set(terms))
     if rest:
-        guard = _SplitGuard(g, combinations(terms, 2))
+        guard = _SplitGuard(d.vertices, arcs, combinations(terms, 2))
     for v in rest:
-        while g.degree(v) != (0, 0):
-            e_in, e_out = guard.split(g, v)
-            fresh = g.next_edge_id
-            g, prov = split_off(g, e_in, e_out, prov)
-            if g.edge(fresh).is_loop():
-                g = g.without_edges([fresh])
-                prov = prov.drop([fresh])
-        g = g.without_vertex(v)
-    return ReducedDigraph(g, prov)
+        while ins[v]:
+            e_in, e_out = guard.first_split(
+                v, ins[v].items(), outs[v].items())
+            u, w = ins[v].pop(e_in), outs[v].pop(e_out)
+            del outs[u][e_in], ins[w][e_out]
+            trail = prov.pop(e_in) + prov.pop(e_out)
+            if u != w:
+                outs[u][fresh], ins[w][fresh] = w, u
+                prov[fresh] = trail
+            fresh += 1
+    edges = [(i, x, y) for x in terms for i, y in outs[x].items()]
+    g = MultiGraph(terms, edges, True, fresh)
+    return ReducedDigraph(g, ProvenanceMap(prov))
 
 
 def _deficient_set(

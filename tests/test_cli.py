@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +19,7 @@ from hypothesis import strategies as st
 import cliquecuts.cli
 from cliquecuts import (
     MultiGraph,
+    build_gomory_hu,
     decompose_undirected,
     outcome_to_json,
     parse_graph,
@@ -112,6 +118,15 @@ class TestDecompose:
         code = run("decompose", "--t", 2, "--mode", "undirected",
                    "--in", workdir / "absent.txt")
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        "graph 1_0 1\n0 9\n", "graph +3 1\n0 1\n", "graph \uff13 1\n0 1\n"])
+    def test_integers_int_would_coerce(self, workdir, capsys, text):
+        (workdir / "odd.txt").write_text(text, encoding="utf-8")
+        code = run("decompose", "--t", 2, "--mode", "undirected",
+                   "--in", workdir / "odd.txt")
+        assert code == 2
+        assert "malformed header" in capsys.readouterr().err
 
 
 class TestFind:
@@ -314,6 +329,71 @@ class TestArtifactFuzzing:
                        "--artifact", workdir / "artifact.json") == 0
 
 
+ODD_TOKENS = ["1_0", "+3", "\uff13", "\u0663", "\u00b2", "-1", "-0", "1e3",
+              "0x3", "3.0", "", "00", "#", "graph", "digraph", "0 1"]
+
+
+@st.composite
+def mutated_edge_lists(draw):
+    """A valid edge list with one defect, or two: a header or edge token
+    replaced (numbers stay below 1000), a line dropped, repeated or
+    inserted.  Returns the text, the --mode of the original, and what was
+    done."""
+    lines = draw(st.sampled_from([BRIDGE, K5, BIDIRECTED_TRIANGLE])).splitlines()
+    mode = "directed" if lines[0].startswith("digraph") else "undirected"
+    token = st.one_of(st.sampled_from(ODD_TOKENS),
+                      st.integers(0, 999).map(str), st.text(max_size=3))
+    done = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["token", "drop", "repeat", "insert"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "token":
+            parts = lines[i].split() or [""]
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(token)
+            lines[i] = " ".join(parts)
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            lines.insert(i, " ".join(draw(st.lists(token, max_size=3))))
+        done.append(f"{kind} line {i}")
+        if not lines:
+            break
+    return "\n".join(lines) + "\n", mode, ", ".join(done)
+
+
+class TestEdgeListFuzzing:
+    def test_non_utf8_bytes_are_bad_input(self, workdir, capsys):
+        (workdir / "bytes.txt").write_bytes(b"graph 2 1\n0 \xff\n")
+        (workdir / "bytes.json").write_bytes(b'{"kind": "\xff"}')
+        code = run("decompose", "--t", 2, "--mode", "undirected",
+                   "--in", workdir / "bytes.txt")
+        assert code == 2
+        assert "not UTF-8" in capsys.readouterr().err
+        code = run("verify-cert", "--in", workdir / "k5.txt",
+                   "--artifact", workdir / "bytes.json")
+        assert code == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @given(mutated_edge_lists(), st.integers(2, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_decompose_accepts_or_rejects(self, case, t):
+        # A mutated edge list is either still a valid host (exit 0) or bad
+        # input (exit 2): never an internal error, never a traceback.
+        text, mode, what = case
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            host = Path(tmp) / "host.txt"
+            host.write_text(text, encoding="utf-8")
+            with contextlib.redirect_stderr(err):
+                code = main(["decompose", "--t", str(t), "--mode", mode,
+                             "--in", str(host),
+                             "--out", str(Path(tmp) / "out.json")])
+        assert code in (0, 2), (what, text, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+
 class TestExitCodes:
     def test_internal_error_is_one_line(self, workdir, capsys, monkeypatch):
         def broken(g):
@@ -334,6 +414,28 @@ class TestExitCodes:
         code = run("decompose", "--t", 15, "--mode", "directed", "--in", host)
         assert code == 4
         assert capsys.readouterr().err.startswith("unsupported size: ")
+
+
+class TestModuleEntryPoint:
+    def run_module(self, *argv):
+        src = str(Path(cliquecuts.cli.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        return subprocess.run(
+            [sys.executable, "-m", "cliquecuts", *map(str, argv)],
+            capture_output=True, text=True, env=env, timeout=60)
+
+    def test_runs_the_command_line(self, workdir):
+        done = self.run_module("gomory-hu", "--in", workdir / "bridge.txt")
+        assert done.returncode == 0
+        assert done.stdout == build_gomory_hu(bridge_of_triangles()).dump()
+
+    def test_bad_input_exits_two(self, workdir):
+        (workdir / "junk.txt").write_text("graph +2 1\n0 1\n")
+        done = self.run_module("gomory-hu", "--in", workdir / "junk.txt")
+        assert done.returncode == 2
+        assert "malformed header" in done.stderr
 
 
 class TestGomoryHu:

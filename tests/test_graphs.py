@@ -73,6 +73,25 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_graph("# nothing here\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("graph 1_0 1\n0 9\n", 1),
+        ("graph +3 0\n", 1),
+        ("graph \uff13 0\n", 1),       # full-width digit three
+        ("graph 3 -0\n", 1),
+        ("digraph 3 1\n0 +1\n", 2),
+        ("digraph 3 1\n0 \u0661\n", 2),  # Arabic-Indic digit one
+        ("graph 3 1\n0 \u00b2\n", 2),    # superscript two
+        ("graph 12 1\n0 1_1\n", 2),
+    ])
+    def test_integers_are_ascii_digits_only(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}"):
+            parse_graph(text)
+
+    def test_leading_zeros_allowed(self):
+        g = parse_graph("graph 03 1\n0 02\n")
+        assert g.vertices == (0, 1, 2)
+        assert [e.ends() for e in g.edges] == [(0, 2)]
+
 
 class TestSerialize:
     def test_canonical_text(self):
