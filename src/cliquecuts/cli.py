@@ -23,6 +23,7 @@ from .generate import (
 )
 from .gomoryhu import build_gomory_hu
 from .graphs import (
+    SIZE_LIMIT,
     GraphError,
     MultiGraph,
     UnsupportedSizeError,
@@ -134,23 +135,25 @@ def _cmd_gomory_hu(args) -> int:
     return 0
 
 
+# Each family's generator and its second parameter besides --n.
+_FAMILIES = {
+    "random-multigraph": (random_multigraph, "m"),
+    "random-eulerian-digraph": (random_eulerian_digraph, "m"),
+    "simple-eulerian-min-outdeg": (simple_eulerian_min_outdeg, "floor"),
+}
+
+
 def _cmd_gen(args) -> int:
-    rng = random.Random(args.seed)
-    if args.family == "random-multigraph":
-        if args.n is None or args.m is None:
-            raise GraphError("random-multigraph needs --n and --m")
-        g = random_multigraph(args.n, args.m, rng)
-    elif args.family == "random-eulerian-digraph":
-        if args.n is None or args.m is None:
-            raise GraphError("random-eulerian-digraph needs --n and --m")
-        g = random_eulerian_digraph(args.n, args.m, rng)
-    elif args.family == "simple-eulerian-min-outdeg":
-        if args.n is None or args.floor is None:
-            raise GraphError("simple-eulerian-min-outdeg needs --n and --floor")
-        g = simple_eulerian_min_outdeg(args.n, args.floor, rng)
-    else:  # pragma: no cover - argparse restricts choices
-        raise GraphError(f"unknown family {args.family!r}")
-    _write(args.out, serialize_graph(g))
+    make, second = _FAMILIES[args.family]
+    k = getattr(args, second)
+    if args.n is None or k is None:
+        raise GraphError(f"{args.family} needs --n and --{second}")
+    # Checked before anything is generated: --n vertices, and --m edges or
+    # --n times --floor arcs.
+    edges = k if second == "m" else args.n * k
+    if max(args.n, edges) > SIZE_LIMIT:
+        raise UnsupportedSizeError(f"more than {SIZE_LIMIT} vertices or edges")
+    _write(args.out, serialize_graph(make(args.n, k, random.Random(args.seed))))
     return 0
 
 
@@ -199,11 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gomory_hu)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
-    p.add_argument("--family", required=True, choices=(
-        "random-multigraph",
-        "random-eulerian-digraph",
-        "simple-eulerian-min-outdeg",
-    ))
+    p.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p.add_argument("--n", type=int, help="vertex count")
     p.add_argument("--m", type=int, help="edge count target")
     p.add_argument("--floor", type=int, help="minimum outdegree")

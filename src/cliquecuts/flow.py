@@ -234,30 +234,23 @@ def _net_for(g: MultiGraph) -> _Net:
     return net
 
 
-def _solve(g: MultiGraph, u: int, v: int) -> tuple[_Net, int]:
-    """A maximum u-v flow; arcs run tail to head on a digraph, both ways on
-    a graph.  Returns the solved network and the flow value."""
+def min_cut(g: MultiGraph, u: int, v: int) -> CutResult:
+    """A minimum u-v edge cut (u->v arcs on a digraph); its value is the
+    number of edge-disjoint u-v trails, 0 when no trail exists.  The side is
+    the residual-reachable set around u, so the result is deterministic."""
     if u not in g.vertex_set or v not in g.vertex_set:
         raise GraphError(f"unknown vertex in pair ({u}, {v})")
     if u == v:
         raise GraphError("connectivity queries need two distinct vertices")
     net = _net_for(g)
-    return net, net.max_flow(u, v)
+    return CutResult(net.max_flow(u, v), net.cut_side(u))
 
 
 def directed_edge_connectivity(d: MultiGraph, u: int, v: int) -> int:
     """Maximum number of edge-disjoint directed u->v trails."""
     if not d.directed:
         raise GraphError("directed_edge_connectivity applies to digraphs")
-    return _solve(d, u, v)[1]
-
-
-def min_cut(g: MultiGraph, u: int, v: int) -> CutResult:
-    """A minimum u-v edge cut (u->v arcs on a digraph); its value is the
-    number of edge-disjoint u-v trails, 0 when no trail exists.  The side is
-    the residual-reachable set around u, so the result is deterministic."""
-    net, value = _solve(g, u, v)
-    return CutResult(value, net.cut_side(u))
+    return min_cut(d, u, v).value
 
 
 def menger_fan(g: MultiGraph, source: int, demands: dict[int, int]) -> PathSystem:

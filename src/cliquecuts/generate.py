@@ -9,6 +9,9 @@ import random
 
 from .graphs import GraphError, MultiGraph
 
+# Fresh starts simple_eulerian_min_outdeg makes before it gives up.
+MAX_RESTARTS = 200
+
 
 def random_multigraph(n: int, m: int, rng: random.Random) -> MultiGraph:
     """m independent uniform endpoint pairs; loops and parallels allowed."""
@@ -37,8 +40,7 @@ def random_eulerian_digraph(n: int, m: int, rng: random.Random) -> MultiGraph:
     return d
 
 
-def simple_eulerian_min_outdeg(n: int, floor: int, rng: random.Random,
-                               max_restarts: int = 200) -> MultiGraph:
+def simple_eulerian_min_outdeg(n: int, floor: int, rng: random.Random) -> MultiGraph:
     """Simple Eulerian digraph with every outdegree exactly `floor`, built
     by superposing arc-disjoint random Hamiltonian cycles; cycles that would
     duplicate an arc are discarded.  Digons are allowed (the digraph stays
@@ -49,7 +51,7 @@ def simple_eulerian_min_outdeg(n: int, floor: int, rng: random.Random,
         raise GraphError(
             f"infeasible: outdegree {floor} needs at least {floor + 1} vertices"
         )
-    for _ in range(max_restarts):
+    for _ in range(MAX_RESTARTS):
         arcs: set[tuple[int, int]] = set()
         accepted = 0
         misses = 0
@@ -71,5 +73,5 @@ def simple_eulerian_min_outdeg(n: int, floor: int, rng: random.Random,
             return d
     raise GraphError(
         f"could not pack {floor} arc-disjoint Hamiltonian cycles on {n} "
-        f"vertices within {max_restarts} restarts"
+        f"vertices within {MAX_RESTARTS} restarts"
     )

@@ -7,7 +7,6 @@ inputs yield a forest, one tree per component.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -23,38 +22,49 @@ class TreeEdge:
 
 
 class GomoryHuTree:
-    """Cut forest over the vertex set of the graph it was built from."""
+    """Cut forest over the vertex set of the graph it was built from.
+
+    Each component is rooted at its smallest vertex.  Every vertex keeps
+    its (parent, tree edge) link, None at a root, and its depth; each edge
+    its lower end; each component its vertices, parents first.  So every
+    query is one pass down that order or one climb up the links."""
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[TreeEdge]):
-        self.vertices = tuple(sorted(vertices))
-        vset = set(self.vertices)
+        self.vertices = tuple(sorted(set(vertices)))
+        adj: dict[int, list[tuple[int, TreeEdge]]] = {v: [] for v in self.vertices}
         norm = []
         for e in edges:
-            if e.a not in vset or e.b not in vset or e.a == e.b:
+            if e.a not in adj or e.b not in adj or e.a == e.b:
                 raise GraphError("tree edge outside the vertex set")
-            norm.append(e if e.a < e.b else TreeEdge(e.b, e.a, e.weight))
+            if e.a > e.b:
+                e = TreeEdge(e.b, e.a, e.weight)
+            norm.append(e)
+            adj[e.a].append((e.b, e))
+            adj[e.b].append((e.a, e))
         self.edges = tuple(sorted(norm, key=lambda e: (e.a, e.b)))
-        self._adj: dict[int, list[tuple[int, TreeEdge]]] = {
-            v: [] for v in self.vertices
-        }
-        for e in self.edges:
-            self._adj[e.a].append((e.b, e))
-            self._adj[e.b].append((e.a, e))
-        # Components are numbered 0, 1, ... in order of smallest member.
+        self._up: dict[int, tuple[int, TreeEdge] | None] = {}
+        self._depth: dict[int, int] = {}
+        self._child: dict[TreeEdge, int] = {}
         self._comp: dict[int, int] = {}
-        cid = -1
-        for v in self.vertices:
-            if v in self._comp:
+        # Components are numbered 0, 1, ... in order of smallest member.
+        self._members: list[tuple[int, ...]] = []
+        for root in self.vertices:
+            if root in self._up:
                 continue
-            cid += 1
-            queue = deque([v])
-            self._comp[v] = cid
-            while queue:
-                x = queue.popleft()
-                for y, _ in self._adj[x]:
-                    if y not in self._comp:
-                        self._comp[y] = cid
-                        queue.append(y)
+            self._up[root], self._depth[root] = None, 0
+            order = [root]
+            for x in order:
+                self._comp[x] = len(self._members)
+                for y, e in adj[x]:
+                    if y not in self._up:
+                        self._up[y], self._depth[y] = (x, e), self._depth[x] + 1
+                        self._child[e] = y
+                        order.append(y)
+            self._members.append(tuple(order))
+        # The search takes one edge per non-root vertex; any edge beyond
+        # those closes a cycle or repeats a pair.
+        if len(self.edges) != len(self.vertices) - len(self._members):
+            raise GraphError("tree edges contain a cycle or a repeated pair")
 
     def component_of(self, v: int) -> int:
         try:
@@ -62,28 +72,23 @@ class GomoryHuTree:
         except KeyError:
             raise GraphError(f"unknown vertex {v}") from None
 
-    def _reachable(self, start: int, avoid: TreeEdge | None) -> frozenset:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y, e in self._adj[x]:
-                if e == avoid or y in seen:
-                    continue
-                seen.add(y)
-                queue.append(y)
-        return frozenset(seen)
-
     def fundamental_partition(self, edge: TreeEdge) -> tuple[frozenset, frozenset]:
         """The two vertex sets separated by removing `edge`, restricted to
         its component; the first side contains edge.a."""
         if edge.a > edge.b:
             edge = TreeEdge(edge.b, edge.a, edge.weight)
-        if edge not in self.edges:
+        child = self._child.get(edge)
+        if child is None:
             raise GraphError("not an edge of this tree")
-        side = self._reachable(edge.a, avoid=edge)
-        comp = self._reachable(edge.b, avoid=None) | side
-        return side, comp - side
+        # The subtree below `edge`: a vertex is in it when its parent is.
+        members = self._members[self._comp[child]]
+        below = {child}
+        for v in members:
+            link = self._up[v]
+            if link is not None and link[0] in below:
+                below.add(v)
+        inside, rest = frozenset(below), frozenset(members) - below
+        return (inside, rest) if child == edge.a else (rest, inside)
 
     def min_cut_value(self, u: int, v: int) -> int:
         """Smallest weight on the tree path between u and v; 0 when they sit
@@ -92,43 +97,30 @@ class GomoryHuTree:
             raise GraphError("needs two distinct vertices")
         if self.component_of(u) != self.component_of(v):
             return 0
-        parent: dict[int, tuple[int, TreeEdge]] = {u: (u, None)}  # type: ignore
-        queue = deque([u])
-        while v not in parent:
-            x = queue.popleft()
-            for y, e in self._adj[x]:
-                if y not in parent:
-                    parent[y] = (x, e)
-                    queue.append(y)
-        best = None
-        x = v
-        while x != u:
-            x, e = parent[x]
-            best = e.weight if best is None else min(best, e.weight)
-        return best
+        # Climb from the deeper end until both meet at their common ancestor.
+        lightest = float("inf")
+        while u != v:
+            if self._depth[u] < self._depth[v]:
+                u, v = v, u
+            u, e = self._up[u]
+            lightest = min(lightest, e.weight)
+        return lightest
 
     def blocks_without(self, removed: Iterable[TreeEdge]) -> tuple[tuple[int, ...], ...]:
         """Vertex classes of the forest after deleting `removed`, each sorted,
         ordered by smallest member."""
         gone = set(removed)
-        seen: set[int] = set()
-        blocks = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            queue = deque([start])
-            seen.add(start)
-            block = []
-            while queue:
-                x = queue.popleft()
-                block.append(x)
-                for y, e in self._adj[x]:
-                    if e in gone or y in seen:
-                        continue
-                    seen.add(y)
-                    queue.append(y)
-            blocks.append(tuple(sorted(block)))
-        return tuple(blocks)
+        head: dict[int, int] = {}
+        blocks: dict[int, list[int]] = {}
+        for members in self._members:
+            for v in members:
+                # A vertex joins its parent's block unless its own tree
+                # edge is deleted or it is a root; then it heads a block.
+                link = self._up[v]
+                h = v if link is None or link[1] in gone else head[link[0]]
+                head[v] = h
+                blocks.setdefault(h, []).append(v)
+        return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
 
     def dump(self) -> str:
         """One line per tree edge, ``a b weight``, sorted by (a, b)."""

@@ -340,6 +340,11 @@ def split_off(
 
 # -- edge-list text format ----------------------------------------------------
 
+# The most vertices an edge-list header may declare, and the most vertices or
+# edges `gen` makes: checked first, so a short input cannot exhaust memory.
+SIZE_LIMIT = 10**6
+
+
 def parse_graph(text: str) -> MultiGraph:
     """Read the edge-list format: a header line ``graph n m`` or
     ``digraph n m`` and then exactly m lines ``u v`` with 0-based endpoints.
@@ -360,7 +365,12 @@ def parse_graph(text: str) -> MultiGraph:
     # underscores and the digits of other scripts.
     if not all(p.isdigit() and p.isascii() for p in parts[1:]):
         raise ParseError(f"malformed header {head!r}", head_no)
-    n, m = int(parts[1]), int(parts[2])
+    try:
+        n, m = int(parts[1]), int(parts[2])
+    except ValueError:  # more digits than int() converts
+        raise UnsupportedSizeError(f"line {head_no}: header count too large") from None
+    if n > SIZE_LIMIT:
+        raise UnsupportedSizeError(f"line {head_no}: more than {SIZE_LIMIT} vertices")
     body = rows[1:]
     if len(body) != m:
         raise ParseError(f"expected {m} edge lines, found {len(body)}", head_no)
@@ -371,7 +381,10 @@ def parse_graph(text: str) -> MultiGraph:
         if not (len(toks) == 2 and toks[0].isdigit() and toks[1].isdigit()
                 and toks[0].isascii() and toks[1].isascii()):
             raise ParseError(f"expected 'u v', got {line!r}", no)
-        u, v = int(toks[0]), int(toks[1])
+        try:
+            u, v = int(toks[0]), int(toks[1])
+        except ValueError:  # more digits than int() converts: out of range
+            u = v = n
         if not (0 <= u < n) or not (0 <= v < n):
             raise ParseError(f"vertex index out of range in {line!r}", no)
         edges.append((eid, u, v))

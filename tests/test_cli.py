@@ -26,6 +26,7 @@ from cliquecuts import (
     serialize_graph,
 )
 from cliquecuts.cli import main
+from cliquecuts.graphs import SIZE_LIMIT
 from test_flow import bridge_of_triangles, complete_graph
 
 BRIDGE = serialize_graph(bridge_of_triangles())
@@ -414,6 +415,35 @@ class TestExitCodes:
         code = run("decompose", "--t", 15, "--mode", "directed", "--in", host)
         assert code == 4
         assert capsys.readouterr().err.startswith("unsupported size: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("decompose", "--t", 3, "--mode", "undirected"),
+        ("find", "--t", 3, "--mode", "undirected"),
+        ("verify-cert", "--artifact", "k5.txt"),
+        ("verify-dec", "--artifact", "k5.txt"),
+        ("gomory-hu",),
+    ], ids=lambda argv: argv[0])
+    def test_vertex_count_over_limit(self, workdir, capsys, argv):
+        host = workdir / "huge.txt"
+        host.write_text(f"graph {SIZE_LIMIT + 1} 0\n")
+        argv = [workdir / a if str(a).endswith(".txt") else a for a in argv]
+        assert run(*argv, "--in", host) == 4
+        assert capsys.readouterr().err == (
+            f"unsupported size: line 1: more than {SIZE_LIMIT} vertices\n")
+
+    @pytest.mark.parametrize("family, sizes", [
+        ("random-multigraph", ("--n", SIZE_LIMIT + 1, "--m", 0)),
+        ("random-multigraph", ("--n", 2, "--m", SIZE_LIMIT + 1)),
+        ("random-eulerian-digraph", ("--n", SIZE_LIMIT + 1, "--m", 0)),
+        ("random-eulerian-digraph", ("--n", 2, "--m", SIZE_LIMIT + 1)),
+        # 2000 vertices of outdegree 501 make 1,002,000 arcs.
+        ("simple-eulerian-min-outdeg", ("--n", 2000, "--floor", 501)),
+    ])
+    def test_gen_over_limit(self, workdir, capsys, family, sizes):
+        out = workdir / "gen.txt"
+        assert run("gen", "--family", family, *sizes, "--out", out) == 4
+        assert capsys.readouterr().err.startswith("unsupported size: ")
+        assert not out.exists()
 
 
 class TestModuleEntryPoint:

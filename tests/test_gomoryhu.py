@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 from itertools import combinations
 
@@ -16,6 +17,8 @@ from cliquecuts import (
     TreeEdge,
     build_gomory_hu,
     cuts_uncrossed,
+    min_cut,
+    random_multigraph,
 )
 from strategies import multigraphs
 from test_flow import bridge_of_triangles, complete_graph
@@ -128,6 +131,31 @@ class TestQueries:
         assert tree.blocks_without([]) == ((0, 1, 2),)
 
 
+class TestForestCheck:
+    def test_cycle_rejected(self):
+        with pytest.raises(GraphError):
+            GomoryHuTree(
+                range(3), [TreeEdge(0, 1, 1), TreeEdge(1, 2, 1), TreeEdge(0, 2, 1)]
+            )
+
+    def test_repeated_pair_rejected(self):
+        with pytest.raises(GraphError):
+            GomoryHuTree(range(2), [TreeEdge(0, 1, 1), TreeEdge(0, 1, 5)])
+
+    def test_repeated_vertices_collapsed(self):
+        tree = GomoryHuTree([0, 0, 1], [TreeEdge(0, 1, 3)])
+        assert tree.vertices == (0, 1)
+        assert tree.blocks_without([TreeEdge(0, 1, 3)]) == ((0,), (1,))
+
+    def test_reversed_edge_is_the_same_edge(self):
+        tree = GomoryHuTree(range(3), [TreeEdge(2, 1, 4), TreeEdge(1, 0, 2)])
+        assert tree.edges == (TreeEdge(0, 1, 2), TreeEdge(1, 2, 4))
+        assert tree.fundamental_partition(TreeEdge(2, 1, 4)) == (
+            frozenset({0, 1}),
+            frozenset({2}),
+        )
+
+
 class TestAgainstOracle:
     @given(multigraphs(max_n=6, max_m=12))
     @settings(max_examples=100, deadline=None)
@@ -149,3 +177,32 @@ class TestAgainstOracle:
         sides = [tree.fundamental_partition(e)[0] for e in tree.edges]
         for x, y in combinations(sides, 2):
             assert cuts_uncrossed(g, x, y)
+
+
+class TestMidSizeAgainstFlow:
+    """Cut trees of 8 to 25 vertices, deep enough that every query walks
+    several levels, checked against max flows and recounted cuts."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_queries_match_flows(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(8, 25)
+        g = random_multigraph(n, rng.randint(n // 2, 3 * n), rng)
+        tree = build_gomory_hu(g)
+        lam = {}
+        for u, v in combinations(g.vertices, 2):
+            lam[u, v] = lam[v, u] = min_cut(g, u, v).value
+            assert tree.min_cut_value(u, v) == lam[u, v]
+        comps = {frozenset(c) for c in g.components()}
+        for e in tree.edges:
+            side, other = tree.fundamental_partition(e)
+            assert e.a in side and e.b in other
+            assert side | other in comps
+            assert brute.cut_size(g, side) == e.weight
+        for k in {e.weight for e in tree.edges}:
+            classes = {
+                tuple(v for v in g.vertices if v == u or lam[u, v] >= k)
+                for u in g.vertices
+            }
+            lighter = [e for e in tree.edges if e.weight < k]
+            assert tree.blocks_without(lighter) == tuple(sorted(classes))

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cliquecuts.graphs
 from cliquecuts import (
     GraphError,
     MultiGraph,
     ParseError,
     ProvenanceMap,
+    UnsupportedSizeError,
     parse_graph,
     serialize_graph,
     split_off,
 )
+from cliquecuts.graphs import SIZE_LIMIT
 from strategies import digraphs, multigraphs
 
 
@@ -91,6 +94,31 @@ class TestParse:
         g = parse_graph("graph 03 1\n0 02\n")
         assert g.vertices == (0, 1, 2)
         assert [e.ends() for e in g.edges] == [(0, 2)]
+
+
+class TestSizeLimit:
+    def test_vertex_count_over_limit(self):
+        # Checked before a vertex is allocated: a 20-byte header must not
+        # be able to exhaust memory.
+        with pytest.raises(UnsupportedSizeError, match="line 1"):
+            parse_graph(f"graph {SIZE_LIMIT + 1} 0\n")
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cliquecuts.graphs, "SIZE_LIMIT", 3)
+        assert parse_graph("# small\ngraph 3 0\n").vertices == (0, 1, 2)
+        with pytest.raises(UnsupportedSizeError, match="line 2"):
+            parse_graph("# small\ngraph 4 0\n")
+
+    @pytest.mark.parametrize("header", [
+        f"graph {'9' * 5000} 0", f"digraph 3 {'9' * 5000}",
+    ])
+    def test_header_count_too_long_for_int(self, header):
+        with pytest.raises(UnsupportedSizeError):
+            parse_graph(header + "\n")
+
+    def test_index_too_long_for_int(self):
+        with pytest.raises(ParseError, match="line 2: vertex index out of range"):
+            parse_graph(f"graph 3 1\n0 {'1' * 5000}\n")
 
 
 class TestSerialize:
