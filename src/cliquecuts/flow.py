@@ -27,20 +27,6 @@ class Trail:
     edges: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PathSystem:
-    trails: tuple[Trail, ...]
-
-    def __len__(self) -> int:
-        return len(self.trails)
-
-    def all_edges(self) -> list[int]:
-        out: list[int] = []
-        for t in self.trails:
-            out.extend(t.edges)
-        return out
-
-
 class FanInfeasible(GraphError):
     def __init__(self, cut: CutResult, required: int):
         super().__init__(
@@ -253,7 +239,8 @@ def directed_edge_connectivity(d: MultiGraph, u: int, v: int) -> int:
     return min_cut(d, u, v).value
 
 
-def menger_fan(g: MultiGraph, source: int, demands: dict[int, int]) -> PathSystem:
+def menger_fan(g: MultiGraph, source: int,
+               demands: dict[int, int]) -> tuple[Trail, ...]:
     """Edge-disjoint trails from `source`, exactly demands[v] of them ending
     at each demanded vertex.
 
@@ -276,7 +263,7 @@ def menger_fan(g: MultiGraph, source: int, demands: dict[int, int]) -> PathSyste
             raise GraphError("demands must be non-negative")
         total += dem
     if total == 0:
-        return PathSystem(())
+        return ()
     aux = max(g.vertices) + 1
     net = _net_for(g)
     net.vertex(source)
@@ -291,4 +278,4 @@ def menger_fan(g: MultiGraph, source: int, demands: dict[int, int]) -> PathSyste
             if not e.is_loop() and (e.tail in side) != (e.head in side)
         )
         raise FanInfeasible(CutResult(crossing, side), total)
-    return PathSystem(tuple(net.extract_trails(source, aux, total)))
+    return tuple(net.extract_trails(source, aux, total))

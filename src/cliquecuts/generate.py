@@ -17,6 +17,8 @@ def random_multigraph(n: int, m: int, rng: random.Random) -> MultiGraph:
     """m independent uniform endpoint pairs; loops and parallels allowed."""
     if n < 1:
         raise GraphError("need at least one vertex")
+    if m < 0:
+        raise GraphError("edge count must be non-negative")
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
     return MultiGraph.undirected(n, pairs)
 
@@ -25,6 +27,8 @@ def random_eulerian_digraph(n: int, m: int, rng: random.Random) -> MultiGraph:
     """Superposes random directed cycles (length >= 2, distinct vertices)
     until at least m arcs exist; the last cycle may overshoot.  Balance
     holds by construction and is re-checked before returning."""
+    if m < 0:
+        raise GraphError("edge count must be non-negative")
     if m > 0 and n < 2:
         raise GraphError("cycles need at least two vertices")
     pairs: list[tuple[int, int]] = []

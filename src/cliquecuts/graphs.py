@@ -1,7 +1,7 @@
 """Multigraph and multidigraph values with stable edge identity.
 
-Graphs are immutable: every rewrite (split_off, contract, edge or vertex
-removal) returns a new graph.  Edge ids are allocated append-only and never
+Graphs are immutable: every rewrite (split_off, contract, induced_subgraph)
+returns a new graph.  Edge ids are allocated append-only and never
 reused across rewrites of the same graph, so provenance records and
 certificates can name edges that no longer exist in the current graph.
 """
@@ -137,33 +137,9 @@ class MultiGraph:
     def has_edge(self, eid: int) -> bool:
         return eid in self._edges
 
-    def __contains__(self, v: int) -> bool:
-        return v in self._vertex_set
-
     def __repr__(self) -> str:
         kind = "digraph" if self.directed else "graph"
         return f"MultiGraph({kind}, n={len(self._vertices)}, m={len(self._edges)})"
-
-    def degree(self, v: int):
-        """Undirected: loop counts 2.  Directed: returns (indegree, outdegree),
-        a loop counting once in each."""
-        if v not in self._vertex_set:
-            raise GraphError(f"unknown vertex {v}")
-        if self.directed:
-            din = dout = 0
-            for e in self._edges.values():
-                if e.head == v:
-                    din += 1
-                if e.tail == v:
-                    dout += 1
-            return (din, dout)
-        d = 0
-        for e in self._edges.values():
-            if e.tail == v:
-                d += 1
-            if e.head == v:
-                d += 1
-        return d
 
     def in_edges(self, v: int) -> list[EdgeRecord]:
         return [e for e in self._edges.values() if e.head == v and not e.is_loop()]
@@ -210,10 +186,6 @@ class MultiGraph:
 
     # -- rewrites -------------------------------------------------------------
 
-    def _replaced(self, edges: dict[int, EdgeRecord], vertices: Iterable[int],
-                  next_edge_id: int) -> "MultiGraph":
-        return MultiGraph(vertices, edges.values(), self.directed, next_edge_id)
-
     def contract(self, block: Iterable[int]) -> "MultiGraph":
         """Identify the vertices of `block` into one supernode (the smallest
         member keeps its id).  All edge ids survive; edges inside the block
@@ -223,38 +195,18 @@ class MultiGraph:
             raise GraphError("contract needs a non-empty subset of the vertices")
         rep = min(bset)
         remap = lambda v: rep if v in bset else v
-        edges = {
-            e.id: EdgeRecord(e.id, remap(e.tail), remap(e.head))
-            for e in self._edges.values()
-        }
+        edges = [EdgeRecord(e.id, remap(e.tail), remap(e.head))
+                 for e in self._edges.values()]
         vertices = (self._vertex_set - bset) | {rep}
-        return self._replaced(edges, vertices, self._next_id)
-
-    def without_edges(self, ids: Iterable[int]) -> "MultiGraph":
-        drop = set(ids)
-        missing = drop - self._edges.keys()
-        if missing:
-            raise GraphError(f"no edge with id {min(missing)}")
-        edges = {i: e for i, e in self._edges.items() if i not in drop}
-        return self._replaced(edges, self._vertex_set, self._next_id)
-
-    def without_vertex(self, v: int) -> "MultiGraph":
-        """Remove an isolated vertex."""
-        if v not in self._vertex_set:
-            raise GraphError(f"unknown vertex {v}")
-        if any(v in e.ends() for e in self._edges.values()):
-            raise GraphError(f"vertex {v} still has incident edges")
-        return self._replaced(dict(self._edges), self._vertex_set - {v}, self._next_id)
+        return MultiGraph(vertices, edges, self.directed, self._next_id)
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "MultiGraph":
         keep = set(vertices)
         if not keep <= self._vertex_set:
             raise GraphError("induced_subgraph needs existing vertices")
-        edges = {
-            i: e for i, e in self._edges.items()
-            if e.tail in keep and e.head in keep
-        }
-        return self._replaced(edges, keep, self._next_id)
+        edges = [e for e in self._edges.values()
+                 if e.tail in keep and e.head in keep]
+        return MultiGraph(keep, edges, self.directed, self._next_id)
 
     def underlying(self) -> "MultiGraph":
         """Forget directions; edge ids are preserved."""
@@ -293,10 +245,6 @@ class ProvenanceMap:
         m[fresh] = first + second
         return ProvenanceMap(m)
 
-    def drop(self, ids: Iterable[int]) -> "ProvenanceMap":
-        gone = set(ids)
-        return ProvenanceMap({k: v for k, v in self._m.items() if k not in gone})
-
     def __len__(self) -> int:
         return len(self._m)
 
@@ -304,37 +252,25 @@ class ProvenanceMap:
 def split_off(
     g: MultiGraph, e1: int, e2: int, provenance: ProvenanceMap | None = None
 ) -> tuple[MultiGraph, ProvenanceMap]:
-    """Replace the length-two path through their shared vertex by one fresh
-    edge u->w (or {u,w}): undirected edges uv, vw become uw; directed edges
-    u->v, v->w become u->w.  A loop appears when u == w.  Returns the new
-    graph and the provenance map with the fresh edge mapped to the
-    concatenation of its parents' trails.
+    """Replace the directed path u->v, v->w by one fresh arc u->w; a loop
+    appears when u == w.  Returns the new digraph and the provenance map
+    with the fresh arc mapped to the concatenation of its parents' trails.
     """
+    if not g.directed:
+        raise GraphError("split_off applies to digraphs")
     if e1 == e2:
         raise GraphError("split_off needs two distinct edges")
     r1, r2 = g.edge(e1), g.edge(e2)
+    if r2.tail != r1.head:
+        raise GraphError(
+            f"edges {e1} and {e2} do not form a directed path of length two"
+        )
     if provenance is None:
         provenance = ProvenanceMap.identity(g)
-    if g.directed:
-        v = r1.head
-        if r2.tail != v:
-            raise GraphError(
-                f"edges {e1} and {e2} do not form a directed path of length two"
-            )
-        u, w = r1.tail, r2.head
-    else:
-        shared = set(r1.ends()) & set(r2.ends())
-        if not shared:
-            raise GraphError(f"edges {e1} and {e2} share no vertex")
-        if r1.is_loop() or r2.is_loop():
-            raise GraphError("split_off does not accept loops")
-        v = min(shared)
-        u, w = r1.other_end(v), r2.other_end(v)
     fresh = g.next_edge_id
-    edges = {e.id: e for e in g.edges if e.id not in (e1, e2)}
-    edges[fresh] = EdgeRecord(fresh, u, w) if g.directed else EdgeRecord(
-        fresh, min(u, w), max(u, w))
-    g2 = MultiGraph(g.vertex_set, edges.values(), g.directed, fresh + 1)
+    edges = [e for e in g.edges if e.id not in (e1, e2)]
+    edges.append(EdgeRecord(fresh, r1.tail, r2.head))
+    g2 = MultiGraph(g.vertex_set, edges, True, fresh + 1)
     return g2, provenance.merge_for_split(e1, e2, fresh)
 
 

@@ -13,11 +13,11 @@ certificate direction is definite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Mapping
 
 from .flow import CutResult, menger_fan, min_cut
-from .gomoryhu import GomoryHuTree, build_gomory_hu
+from .gomoryhu import build_gomory_hu
 from .graphs import (
     GraphError,
     MultiGraph,
@@ -34,12 +34,17 @@ def cut_threshold(t: int, directed: bool) -> int:
     return 2 * t * (t - 1) if directed else (t - 1) ** 2
 
 
+def _pattern_pairs(t: int, directed: bool) -> Iterator[tuple[int, int]]:
+    for i in range(t):
+        for j in range(0 if directed else i + 1, t):
+            if i != j:
+                yield (i, j)
+
+
 def pattern_edges(t: int, directed: bool) -> list[tuple[int, int]]:
     """Edges of the pattern clique on vertices 0..t-1; ordered pairs (both
     directions) in the directed case."""
-    if directed:
-        return [(i, j) for i in range(t) for j in range(t) if i != j]
-    return [(i, j) for i in range(t) for j in range(i + 1, t)]
+    return list(_pattern_pairs(t, directed))
 
 
 class TerminalCutTooSmall(GraphError):
@@ -189,7 +194,7 @@ def extract_clique_immersion(g: MultiGraph, terminals) -> ImmersionCertificate:
     source = terms[0]
     fan = menger_fan(g, source, {v: t - 1 for v in terms[1:]})
     per_end: dict[int, list[tuple[int, ...]]] = {v: [] for v in terms[1:]}
-    for tr in fan.trails:
+    for tr in fan:
         per_end[tr.end].append(tr.edges)
     if any(len(bundle) != t - 1 for bundle in per_end.values()):
         raise GraphError("internal: fan returned a wrong trail count")
@@ -285,6 +290,13 @@ def decompose_directed(d: MultiGraph, t: int):
 
 # -- verification -------------------------------------------------------------
 
+def _first(pairs: Iterator[tuple[int, int]], shown: int = 5) -> str:
+    """The first `shown` pairs as a list, with "..." when more follow."""
+    head = list(islice(pairs, shown + 1))
+    text = ", ".join(map(repr, head[:shown]))
+    return f"[{text}, ...]" if len(head) > shown else f"[{text}]"
+
+
 def verify_certificate(host: MultiGraph, cert: ImmersionCertificate) -> VerificationReport:
     """Recheck a certificate from scratch: injective phi into the host, the
     full pattern present, every trail walking real host edges end to end in
@@ -293,6 +305,10 @@ def verify_certificate(host: MultiGraph, cert: ImmersionCertificate) -> Verifica
 
     def fail(msg: str) -> VerificationReport:
         return VerificationReport(False, msg)
+
+    def in_pattern(key) -> bool:
+        i, j = key
+        return 0 <= i < t and 0 <= j < t and (i != j if cert.directed else i < j)
 
     t = cert.t
     if t < 2:
@@ -306,11 +322,14 @@ def verify_certificate(host: MultiGraph, cert: ImmersionCertificate) -> Verifica
     for v in cert.phi:
         if v not in host.vertex_set:
             return fail(f"phi maps to unknown host vertex {v}")
-    required = set(pattern_edges(t, cert.directed))
-    have = set(cert.trails)
-    if have != required:
-        missing = sorted(required - have)
-        extra = sorted(have - required)
+    # t comes from the artifact, so the pattern is counted, not built: a
+    # mismatch costs a scan of the trails and of the pattern up to the
+    # first pairs it reports.
+    size = t * (t - 1) if cert.directed else t * (t - 1) // 2
+    if len(cert.trails) != size or not all(map(in_pattern, cert.trails)):
+        missing = _first(
+            k for k in _pattern_pairs(t, cert.directed) if k not in cert.trails)
+        extra = _first(k for k in cert.trails if not in_pattern(k))
         return fail(f"pattern edges mismatch: missing {missing}, extra {extra}")
     used: dict[int, tuple[int, int]] = {}
     for key in sorted(cert.trails):
@@ -351,13 +370,6 @@ def _uncrossed(comp_sets: list[set], x: frozenset, y: frozenset) -> bool:
             continue
         return False
     return True
-
-
-def cuts_uncrossed(g: MultiGraph, x: Iterable[int], y: Iterable[int]) -> bool:
-    """Whether, within each component, one side of one cut nests inside a
-    side of the other."""
-    comp_sets = [set(c) for c in g.components()]
-    return _uncrossed(comp_sets, frozenset(x), frozenset(y))
 
 
 def first_crossing_pair(g: MultiGraph, sides: list) -> tuple[int, int] | None:

@@ -14,6 +14,14 @@ from itertools import combinations
 from cliquecuts import MultiGraph
 
 
+def degree(g: MultiGraph, v: int):
+    """Undirected: the edge ends at v, a loop counting twice.  Directed:
+    (indegree, outdegree), a loop counting once in each."""
+    din = sum(1 for e in g.edges if e.head == v)
+    dout = sum(1 for e in g.edges if e.tail == v)
+    return (din, dout) if g.directed else din + dout
+
+
 def cut_size(g: MultiGraph, side) -> int:
     """Number of non-loop edges with exactly one end in ``side``.
 

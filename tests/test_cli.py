@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brute
 import cliquecuts.cli
 from cliquecuts import (
     MultiGraph,
@@ -512,7 +513,7 @@ class TestGen:
             assert not e.is_loop()
             assert (e.tail, e.head) not in seen
             seen.add((e.tail, e.head))
-        assert all(d.degree(v)[1] >= 6 for v in d.vertices)
+        assert all(brute.degree(d, v)[1] >= 6 for v in d.vertices)
 
     def test_same_seed_same_bytes(self, workdir):
         a, b = workdir / "a.txt", workdir / "b.txt"
@@ -539,3 +540,12 @@ class TestGen:
         code = run("gen", "--family", "random-multigraph", "--n", 5)
         assert code == 2
         assert "--m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family", ["random-multigraph", "random-eulerian-digraph"])
+    def test_negative_edge_count(self, workdir, capsys, family):
+        out = workdir / "gen.txt"
+        assert run("gen", "--family", family, "--n", 7, "--m", -5,
+                   "--out", out) == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +21,11 @@ from cliquecuts import (
     TerminalCutTooSmall,
     brute_force_immersion,
     cut_threshold,
-    cuts_uncrossed,
     decompose_directed,
     decompose_undirected,
     extract_clique_immersion,
     extract_directed_clique_immersion,
+    first_crossing_pair,
     outcome_from_json,
     outcome_to_json,
     pattern_edges,
@@ -74,8 +75,8 @@ class TestThickStar:
     def test_shape(self):
         star = thick_star(4)
         g = star.graph
-        assert g.degree(0) == 9
-        assert all(g.degree(v) == 3 for v in (1, 2, 3))
+        assert brute.degree(g, 0) == 9
+        assert all(brute.degree(g, v) == 3 for v in (1, 2, 3))
         assert g.edge_count == 9
 
     def test_labels_cover_all_edges(self):
@@ -303,6 +304,32 @@ class TestVerifyCertificate:
         assert not report.ok
         assert "missing [(1, 0)]" in report.problem
 
+    def test_pair_outside_pattern(self):
+        # As many trails as pattern edges, but one is for the reversed pair.
+        g = MultiGraph.undirected(2, [(0, 1)])
+        cert = ImmersionCertificate(2, False, (0, 1), {(1, 0): (0,)})
+        report = verify_certificate(g, cert)
+        assert not report.ok
+        assert "missing [(0, 1)], extra [(1, 0)]" in report.problem
+
+    def test_large_pattern_counted_not_built(self):
+        # t comes from the artifact: 400 terminals and no trails must not
+        # cost the 79800 pattern pairs, in time or in memory.
+        t = 400
+        g = MultiGraph.undirected(t, [])
+        cert = ImmersionCertificate(t, False, tuple(range(t)), {})
+        tracemalloc.start()
+        try:
+            report = verify_certificate(g, cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.ok
+        assert peak < 2**20
+        assert report.problem == (
+            "pattern edges mismatch: missing "
+            "[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), ...], extra []")
+
     def test_non_injective_phi(self):
         star = thick_star(3)
         cert = thick_star_route(3)
@@ -432,14 +459,14 @@ class TestVerifyDecomposition:
 class TestUncrossing:
     def test_nested_sides(self):
         g = MultiGraph.undirected(4, [(0, 1), (1, 2), (2, 3)])
-        assert cuts_uncrossed(g, {0}, {0, 1})
-        assert cuts_uncrossed(g, {0, 1}, {2, 3})
-        assert not cuts_uncrossed(g, {0, 1}, {1, 2})
+        assert first_crossing_pair(g, [{0}, {0, 1}]) is None
+        assert first_crossing_pair(g, [{0, 1}, {2, 3}]) is None
+        assert first_crossing_pair(g, [{0, 1}, {1, 2}]) == (0, 1)
 
     def test_separate_components_never_cross(self):
         g = MultiGraph.undirected(4, [(0, 1), (2, 3)])
-        assert cuts_uncrossed(g, {0}, {2})
-        assert cuts_uncrossed(g, {0, 2}, {1, 2})
+        assert first_crossing_pair(g, [{0}, {2}]) is None
+        assert first_crossing_pair(g, [{0, 2}, {1, 2}]) is None
 
 
 class TestBruteForceOracle:

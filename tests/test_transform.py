@@ -16,7 +16,6 @@ from cliquecuts import (
     NoAdmissiblePairError,
     NotEulerianError,
     PackInfeasible,
-    ProvenanceMap,
     UnsupportedSizeError,
     admissible_split,
     arborescence_path,
@@ -46,25 +45,39 @@ def reference_split(d, v, guard, baseline):
 
 def reference_reduce(d, terminals):
     """reduce_to_terminals the slow way, through reference_split.  Returns
-    the reduced digraph, its provenance, and every digraph on the way."""
+    the reduced digraph, its provenance as a dict, and every digraph on the
+    way."""
     terms = sorted(set(terminals))
-    loops = [e.id for e in d.edges if e.is_loop()]
-    g = d.without_edges(loops)
-    prov = ProvenanceMap.identity(d).drop(loops)
+    g = MultiGraph(d.vertices, [e for e in d.edges if not e.is_loop()], True,
+                   d.next_edge_id)
+    prov = {e.id: (e.id,) for e in g.edges}
     guard = list(permutations(terms, 2))
     baseline = {pair: directed_edge_connectivity(g, *pair) for pair in guard}
     steps = []
     for v in sorted(g.vertex_set - set(terms)):
-        while g.degree(v) != (0, 0):
+        while brute.degree(g, v) != (0, 0):
             steps.append(g)
+            e1, e2 = reference_split(g, v, guard, baseline)
+            trail = prov.pop(e1) + prov.pop(e2)
             fresh = g.next_edge_id
-            g, prov = split_off(g, *reference_split(g, v, guard, baseline), prov)
-            if g.edge(fresh).is_loop():
-                g = g.without_edges([fresh])
-                prov = prov.drop([fresh])
-        g = g.without_vertex(v)
+            g = split_digraph(g, (e1, e2))
+            if g.has_edge(fresh):
+                prov[fresh] = trail
+        g = MultiGraph(g.vertex_set - {v}, g.edges, True, g.next_edge_id)
     steps.append(g)
     return g, prov, steps
+
+
+def split_digraph(d, pair):
+    """d with the arc pair u->v, v->w replaced by a fresh arc u->w, which
+    takes d's next edge id; a loop u == w is dropped at once."""
+    e1, e2 = pair
+    u, w = d.edge(e1).tail, d.edge(e2).head
+    fresh = d.next_edge_id
+    edges = [e for e in d.edges if e.id not in pair]
+    if u != w:
+        edges.append((fresh, u, w))
+    return MultiGraph(d.vertices, edges, True, fresh + 1)
 
 
 def edge_table(g):
@@ -206,13 +219,6 @@ def assert_flows_maximum(guard, d):
         value = directed_edge_connectivity(d, a, b)
         for x in d.vertices:
             assert inflow[x] == {a: -value, b: value}.get(x, 0)
-
-
-def split_digraph(d, pair):
-    """d with the pair split off and a resulting loop dropped."""
-    fresh = d.next_edge_id
-    g, _ = split_off(d, *pair)
-    return g.without_edges([fresh]) if g.edge(fresh).is_loop() else g
 
 
 @pytest.fixture
@@ -403,7 +409,7 @@ class TestReduceToTerminals:
         assert red.digraph.vertex_set == g.vertex_set
         assert edge_table(red.digraph) == edge_table(g)
         assert red.digraph.next_edge_id == g.next_edge_id
-        assert dict(red.provenance.items()) == dict(prov.items())
+        assert dict(red.provenance.items()) == prov
 
     @given(eulerian_digraphs(max_n=6, max_cycles=4, max_copies=2), st.data())
     @settings(max_examples=40, deadline=None)
