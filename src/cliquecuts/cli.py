@@ -100,30 +100,22 @@ def _load_artifact(path: str):
     return outcome_from_json(obj)
 
 
-def _cmd_verify_cert(args) -> int:
+def _cmd_verify(args) -> int:
     g = _read_graph(getattr(args, "in"))
     artifact = _load_artifact(args.artifact)
-    if not isinstance(artifact, ImmersionCertificate):
-        raise GraphError("artifact is not a certificate")
-    report = verify_certificate(g, artifact)
+    if args.command == "verify-cert":
+        kind, word, verify = (ImmersionCertificate, "certificate",
+                              verify_certificate)
+    else:
+        kind, word, verify = (LaminarDecomposition, "decomposition",
+                              verify_decomposition)
+    if not isinstance(artifact, kind):
+        raise GraphError(f"artifact is not a {word}")
+    report = verify(g, artifact)
     if report.ok:
-        print("certificate OK")
+        print(f"{word} OK")
         return 0
-    print(f"certificate INVALID: {report.problem}")
-    return 1
-
-
-def _cmd_verify_dec(args) -> int:
-    g = _read_graph(getattr(args, "in"))
-    artifact = _load_artifact(args.artifact)
-    if not isinstance(artifact, LaminarDecomposition):
-        raise GraphError("artifact is not a decomposition")
-    mode = "directed" if artifact.directed else "undirected"
-    report = verify_decomposition(g, artifact.t, mode, artifact)
-    if report.ok:
-        print("decomposition OK")
-        return 0
-    print(f"decomposition INVALID: {report.problem}")
+    print(f"{word} INVALID: {report.problem}")
     return 1
 
 
@@ -184,16 +176,16 @@ def build_parser() -> argparse.ArgumentParser:
                  "run the pipeline but demand a certificate").set_defaults(
         func=_cmd_find)
 
-    for name, fn, what in (
-        ("verify-cert", _cmd_verify_cert, "an immersion certificate"),
-        ("verify-dec", _cmd_verify_dec, "a laminar decomposition"),
+    for name, what in (
+        ("verify-cert", "an immersion certificate"),
+        ("verify-dec", "a laminar decomposition"),
     ):
         p = sub.add_parser(name, help=f"verify {what} against its host graph")
         p.add_argument("--in", required=True, metavar="PATH",
                        help="edge-list input file")
         p.add_argument("--artifact", required=True, metavar="PATH",
                        help="JSON artifact to verify")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gomory-hu", help="dump the Gomory-Hu tree "
                                          "(underlying graph for digraphs)")

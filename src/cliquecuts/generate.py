@@ -27,6 +27,8 @@ def random_eulerian_digraph(n: int, m: int, rng: random.Random) -> MultiGraph:
     """Superposes random directed cycles (length >= 2, distinct vertices)
     until at least m arcs exist; the last cycle may overshoot.  Balance
     holds by construction and is re-checked before returning."""
+    if n < 0:
+        raise GraphError("vertex count must be non-negative")
     if m < 0:
         raise GraphError("edge count must be non-negative")
     if m > 0 and n < 2:

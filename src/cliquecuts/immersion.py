@@ -361,54 +361,31 @@ def verify_certificate(host: MultiGraph, cert: ImmersionCertificate) -> Verifica
     return VerificationReport(True)
 
 
-def _uncrossed(comp_sets: list[set], x: frozenset, y: frozenset) -> bool:
-    # In every component, one of the four overlap quadrants must be empty.
-    for c in comp_sets:
-        a = x & c
-        b = y & c
-        if a <= b or b <= a or not (a & b) or (a | b) >= c:
-            continue
-        return False
-    return True
-
-
-def first_crossing_pair(g: MultiGraph, sides: list) -> tuple[int, int] | None:
-    """Index pair of the first two cut sides that cross; None if the family
-    is laminar."""
-    comp_sets = [set(c) for c in g.components()]
-    fs = [frozenset(s) for s in sides]
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            if not _uncrossed(comp_sets, fs[i], fs[j]):
-                return (i, j)
-    return None
-
-
-def verify_decomposition(g: MultiGraph, t: int, mode: str,
+def verify_decomposition(g: MultiGraph,
                          dec: LaminarDecomposition) -> VerificationReport:
-    """Recheck a decomposition from scratch: threshold arithmetic, exact cut
-    recounts below threshold, pairwise laminarity, blocks partitioning the
-    vertex set with fewer than t vertices each, and the blocks being exactly
-    the classes left after all the cuts."""
+    """Recheck a decomposition from scratch: threshold arithmetic, each cut
+    splitting one component with its tree edge joining the two sides and
+    an exact recount below threshold, laminarity, blocks partitioning the
+    vertex set with fewer than t vertices each, and the blocks being
+    exactly the classes left after all the cuts."""
 
     def fail(msg: str) -> VerificationReport:
         return VerificationReport(False, msg)
 
-    if mode not in ("undirected", "directed"):
-        raise GraphError(f"unknown mode {mode!r}")
-    directed = mode == "directed"
-    if g.directed != directed:
-        return fail("mode does not match the graph")
+    t = dec.t
     if t < 2:
         return fail(f"t {t} is below 2")
-    if dec.t != t or dec.directed != directed:
-        return fail("decomposition was produced for different parameters")
-    want = cut_threshold(t, directed)
+    if dec.directed != g.directed:
+        return fail("decomposition directedness does not match the graph")
+    want = cut_threshold(t, g.directed)
     if dec.threshold != want:
         return fail(f"threshold {dec.threshold} should be {want}")
-    comps = [set(c) for c in g.components()]
+    comps = [frozenset(c) for c in g.components()]
     comp_of = {v: i for i, c in enumerate(comps) for v in c}
     vset = g.vertex_set
+    ends = [(e.tail, e.head) for e in g.edges if not e.is_loop()]
+    # Each cut's side that avoids its component's smallest vertex.
+    inner: list[frozenset] = []
     for idx, cut in enumerate(dec.cuts):
         x, y = cut.side, cut.other
         if not x or not y or x & y or not (x | y) <= vset:
@@ -416,19 +393,36 @@ def verify_decomposition(g: MultiGraph, t: int, mode: str,
         ci = comp_of[next(iter(x))]
         if (x | y) != comps[ci]:
             return fail(f"cut {idx} does not split a single component")
-        size = sum(
-            1 for e in g.edges
-            if not e.is_loop() and (e.tail in x) != (e.head in x)
-        )
+        a, b = cut.tree_edge
+        if a not in x or b not in y:
+            return fail(f"cut {idx} tree edge {cut.tree_edge} does not run "
+                        f"from its side to its other side")
+        size = sum(1 for u, v in ends if (u in x) != (v in x))
         if size != cut.size:
             return fail(
                 f"cut {idx} recount mismatch: recorded {cut.size}, actual {size}"
             )
         if size >= want:
             return fail(f"cut {idx} has size {size}, not below {want}")
-    crossing = first_crossing_pair(g, [c.side for c in dec.cuts])
-    if crossing is not None:
-        return fail(f"cuts {crossing[0]} and {crossing[1]} cross")
+        inner.append(y if min(comps[ci]) in x else x)
+    # Two cuts of one component are uncrossed exactly when their inner
+    # sides are nested or disjoint, and inner sides of different
+    # components are disjoint.  Taken largest first, a side that keeps the
+    # family laminar lies inside the innermost earlier side of any one of
+    # its vertices, so all its vertices must agree on that side.
+    innermost: dict[int, int] = {}
+    for i in sorted(range(len(inner)), key=lambda i: -len(inner[i])):
+        side = inner[i]
+        if len({innermost.get(v) for v in side}) > 1:
+            v = min(side)
+            w = min(u for u in side if innermost.get(u) != innermost.get(v))
+            # An earlier side holding only one of v and w meets this one
+            # and is no smaller, so the two cross.
+            j = next(k for k in (innermost.get(v), innermost.get(w))
+                     if k is not None and not {v, w} <= inner[k])
+            return fail(f"cuts {min(i, j)} and {max(i, j)} cross")
+        for v in side:
+            innermost[v] = i
     seen: set[int] = set()
     for block in dec.blocks:
         if len(block) >= t:
@@ -439,12 +433,10 @@ def verify_decomposition(g: MultiGraph, t: int, mode: str,
             seen.add(v)
     if seen != vset:
         return fail("blocks do not cover the vertex set")
-    keys: dict[int, tuple] = {
-        v: (comp_of[v],) + tuple(v in c.side for c in dec.cuts) for v in vset
-    }
+    # A vertex's innermost side names every side that holds it.
     classes: dict[tuple, set] = {}
-    for v, key in keys.items():
-        classes.setdefault(key, set()).add(v)
+    for v in vset:
+        classes.setdefault((comp_of[v], innermost.get(v)), set()).add(v)
     if {frozenset(b) for b in dec.blocks} != {frozenset(c) for c in classes.values()}:
         return fail("blocks do not match the classes induced by the cuts")
     return VerificationReport(True)
@@ -575,6 +567,12 @@ def _bool(x) -> bool:
     return x
 
 
+def _pair(x) -> tuple[int, int]:
+    if len(x) != 2:
+        raise GraphError(f"malformed artifact document: {x!r} is not a pair")
+    return (_int(x[0]), _int(x[1]))
+
+
 def outcome_from_json(obj) -> ImmersionCertificate | LaminarDecomposition:
     """Inverse of outcome_to_json.  Strict: integer fields must be JSON
     integers, ``directed`` a JSON boolean, and no pattern edge may carry two
@@ -597,7 +595,7 @@ def outcome_from_json(obj) -> ImmersionCertificate | LaminarDecomposition:
         if kind == "decomposition":
             cuts = tuple(
                 SelectedCut(
-                    (_int(c["tree_edge"][0]), _int(c["tree_edge"][1])),
+                    _pair(c["tree_edge"]),
                     frozenset(map(_int, c["side"])),
                     frozenset(map(_int, c["other"])),
                     _int(c["size"]),

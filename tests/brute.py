@@ -147,3 +147,37 @@ def trail_is_consistent(g: MultiGraph, trail, start: int, end: int) -> bool:
                 return False
             at = e.other_end(at)
     return at == end
+
+
+def _uncrossed(comp_sets: list[set], x: frozenset, y: frozenset) -> bool:
+    # In every component, one of the four overlap quadrants must be empty.
+    for c in comp_sets:
+        a = x & c
+        b = y & c
+        if a <= b or b <= a or not (a & b) or (a | b) >= c:
+            continue
+        return False
+    return True
+
+
+def first_crossing_pair(g: MultiGraph, sides: list) -> tuple[int, int] | None:
+    """Index pair of the first two cut sides that cross; None if the family
+    is laminar."""
+    comp_sets = [set(c) for c in g.components()]
+    fs = [frozenset(s) for s in sides]
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            if not _uncrossed(comp_sets, fs[i], fs[j]):
+                return (i, j)
+    return None
+
+
+def cut_classes(g: MultiGraph, sides) -> set[frozenset]:
+    """Vertex classes left by the cuts: two vertices share a class when
+    they share a component and lie on the same side of every cut."""
+    comp_of = {v: i for i, c in enumerate(g.components()) for v in c}
+    classes: dict[tuple, set] = {}
+    for v in g.vertices:
+        key = (comp_of[v],) + tuple(v in s for s in sides)
+        classes.setdefault(key, set()).add(v)
+    return {frozenset(c) for c in classes.values()}

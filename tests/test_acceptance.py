@@ -18,7 +18,6 @@ from cliquecuts import (
     decompose_directed,
     decompose_undirected,
     directed_edge_connectivity,
-    first_crossing_pair,
     pack_arborescences,
     random_eulerian_digraph,
     random_multigraph,
@@ -38,12 +37,11 @@ def report(capsys, number: int, description: str, failures: list[str]):
     assert not failures, f"criterion {number}: " + "; ".join(failures[:5])
 
 
-def verified(g, t, outcome):
+def verified(g, outcome):
     """Outcome-matched verifier report for a pipeline result."""
     if isinstance(outcome, ImmersionCertificate):
         return verify_certificate(g, outcome)
-    mode = "directed" if g.directed else "undirected"
-    return verify_decomposition(g, t, mode, outcome)
+    return verify_decomposition(g, outcome)
 
 
 def test_criterion_1_cut_tree_exactness(capsys):
@@ -83,7 +81,7 @@ def test_criterion_2_undirected_pipeline_totality(capsys):
                 certificates += 1
             else:
                 decompositions += 1
-            rep = verified(g, t, outcome)
+            rep = verified(g, outcome)
             if not rep.ok:
                 failures.append(f"graph {idx} t={t}: {rep.problem}")
     report(capsys, 2,
@@ -180,7 +178,7 @@ def test_criterion_6_directed_pipeline_totality(capsys):
                 certificates += 1
             else:
                 decompositions += 1
-            rep = verified(d, t, outcome)
+            rep = verified(d, outcome)
             if not rep.ok:
                 failures.append(f"digraph {idx} t={t}: {rep.problem}")
     report(capsys, 6,
@@ -289,7 +287,7 @@ def test_criterion_9_sampled_cut_families_laminar(capsys):
             size = rng.randint(1, len(tree.edges))
             subset = rng.sample(tree.edges, size)
             sides = [tree.fundamental_partition(e)[0] for e in subset]
-            crossing = first_crossing_pair(g, sides)
+            crossing = brute.first_crossing_pair(g, sides)
             if crossing is not None:
                 failures.append(f"graph {idx}: cuts {crossing} cross")
     report(capsys, 9,

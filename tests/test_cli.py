@@ -192,6 +192,18 @@ class TestVerify:
         assert code == 1
         assert "recount" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tree_edge, code", [
+        ([999, 12345], 1), ([999, 12345, 7], 2),
+    ], ids=["forged-pair", "three-entry"])
+    def test_tree_edge_checked(self, workdir, capsys, tree_edge, code):
+        art = self._decompose(workdir, workdir / "bridge.txt", 3, "undirected")
+        doc = json.loads(art.read_text())
+        doc["cuts"][0]["tree_edge"] = tree_edge
+        art.write_text(json.dumps(doc))
+        assert run("verify-dec", "--in", workdir / "bridge.txt",
+                   "--artifact", art) == code
+        assert "decomposition OK" not in capsys.readouterr().out
+
     def test_artifact_kind_must_match_command(self, workdir, capsys):
         art = self._decompose(workdir, workdir / "k5.txt", 3, "undirected")
         code = run("verify-dec", "--in", workdir / "k5.txt", "--artifact", art)
@@ -547,5 +559,12 @@ class TestGen:
         out = workdir / "gen.txt"
         assert run("gen", "--family", family, "--n", 7, "--m", -5,
                    "--out", out) == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_vertex_count(self, workdir, capsys):
+        out = workdir / "gen.txt"
+        assert run("gen", "--family", "random-eulerian-digraph", "--n", -3,
+                   "--m", 0, "--out", out) == 2
         assert "non-negative" in capsys.readouterr().err
         assert not out.exists()

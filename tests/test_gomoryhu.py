@@ -16,7 +16,6 @@ from cliquecuts import (
     MultiGraph,
     TreeEdge,
     build_gomory_hu,
-    first_crossing_pair,
     min_cut,
     random_multigraph,
 )
@@ -175,7 +174,7 @@ class TestAgainstOracle:
     def test_fundamental_cuts_pairwise_uncrossed(self, g):
         tree = build_gomory_hu(g)
         sides = [tree.fundamental_partition(e)[0] for e in tree.edges]
-        assert first_crossing_pair(g, sides) is None
+        assert brute.first_crossing_pair(g, sides) is None
 
 
 class TestMidSizeAgainstFlow:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
+import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
@@ -25,7 +28,6 @@ from cliquecuts import (
     decompose_undirected,
     extract_clique_immersion,
     extract_directed_clique_immersion,
-    first_crossing_pair,
     outcome_from_json,
     outcome_to_json,
     pattern_edges,
@@ -37,6 +39,21 @@ from cliquecuts import (
 from strategies import eulerian_digraphs, multigraphs
 from test_flow import bridge_of_triangles, complete_graph
 from test_transform import bidirected_triangle, directed_cycle
+
+
+@st.composite
+def cut_families(draw):
+    """A small multigraph and (side, other) pairs, each splitting one of
+    its components; crossing and laminar families both occur."""
+    g = draw(multigraphs(max_n=7, max_m=10))
+    comps = [c for c in g.components() if len(c) > 1]
+    sides = []
+    for _ in range(draw(st.integers(0, 6)) if comps else 0):
+        comp = draw(st.sampled_from(comps))
+        side = frozenset(draw(st.sets(st.sampled_from(comp), min_size=1,
+                                      max_size=len(comp) - 1)))
+        sides.append((side, frozenset(comp) - side))
+    return g, sides
 
 
 def bidirected(n, pairs):
@@ -198,7 +215,7 @@ class TestDecomposeUndirected:
         assert len(dec.cuts) == 5
         assert all(cut.size <= 2 for cut in dec.cuts)
         assert dec.blocks == tuple((v,) for v in range(6))
-        report = verify_decomposition(g, 3, "undirected", dec)
+        report = verify_decomposition(g, dec)
         assert report.ok, report.problem
 
     def test_complete_graph_certifies(self):
@@ -223,7 +240,7 @@ class TestDecomposeUndirected:
         g = complete_graph(4)
         dec = decompose_undirected(g, 4)
         assert isinstance(dec, LaminarDecomposition)
-        assert verify_decomposition(g, 4, "undirected", dec).ok
+        assert verify_decomposition(g, dec).ok
         assert brute_force_immersion(4, g) is not None
 
     def test_rejects_directed_host(self):
@@ -252,7 +269,7 @@ class TestDecomposeDirected:
         assert len(dec.cuts) == 2
         assert all(cut.size == 2 for cut in dec.cuts)
         assert dec.blocks == ((0,), (1,), (2,), (3,))
-        report = verify_decomposition(d, 2, "directed", dec)
+        report = verify_decomposition(d, dec)
         assert report.ok, report.problem
 
     def test_directed_cycle_decomposes_but_immersion_exists(self):
@@ -262,7 +279,7 @@ class TestDecomposeDirected:
         d = directed_cycle(5)
         dec = decompose_directed(d, 2)
         assert isinstance(dec, LaminarDecomposition)
-        assert verify_decomposition(d, 2, "directed", dec).ok
+        assert verify_decomposition(d, dec).ok
         assert brute_force_immersion(2, d) is not None
 
     def test_rejects_unbalanced(self):
@@ -378,7 +395,7 @@ class TestVerifyDecomposition:
     def test_pipeline_output_passes(self):
         g = bridge_of_triangles()
         dec = decompose_undirected(g, 3)
-        assert verify_decomposition(g, 3, "undirected", dec).ok
+        assert verify_decomposition(g, dec).ok
 
     def test_merged_blocks_rejected(self):
         g = bridge_of_triangles()
@@ -387,7 +404,7 @@ class TestVerifyDecomposition:
         bad = LaminarDecomposition(
             dec.t, dec.directed, dec.threshold, dec.cuts, merged
         )
-        report = verify_decomposition(g, 3, "undirected", bad)
+        report = verify_decomposition(g, bad)
         assert not report.ok
 
     def test_misreported_cut_size_rejected(self):
@@ -399,74 +416,141 @@ class TestVerifyDecomposition:
             dec.t, dec.directed, dec.threshold, (forged,) + dec.cuts[1:],
             dec.blocks,
         )
-        report = verify_decomposition(g, 3, "undirected", bad)
+        report = verify_decomposition(g, bad)
         assert not report.ok
         assert "recount" in report.problem
 
     def test_crossing_cuts_rejected(self):
         g = MultiGraph.undirected(4, [(0, 1), (1, 2), (2, 3)])
         cuts = (
-            SelectedCut((0, 1), frozenset({0, 1}), frozenset({2, 3}), 1),
-            SelectedCut((1, 2), frozenset({1, 2}), frozenset({0, 3}), 2),
+            SelectedCut((1, 2), frozenset({0, 1}), frozenset({2, 3}), 1),
+            SelectedCut((2, 3), frozenset({1, 2}), frozenset({0, 3}), 2),
         )
         bad = LaminarDecomposition(3, False, 4, cuts, ((0,), (1,), (2,), (3,)))
-        report = verify_decomposition(g, 3, "undirected", bad)
+        report = verify_decomposition(g, bad)
         assert not report.ok
         assert "cross" in report.problem
 
     def test_oversized_block_rejected(self):
         g = MultiGraph.undirected(3, [])
         bad = LaminarDecomposition(2, False, 1, (), ((0, 1), (2,)))
-        report = verify_decomposition(g, 2, "undirected", bad)
+        report = verify_decomposition(g, bad)
         assert not report.ok
         assert "block" in report.problem
 
     def test_missing_vertex_rejected(self):
         g = MultiGraph.undirected(3, [])
         bad = LaminarDecomposition(2, False, 1, (), ((0,), (1,)))
-        report = verify_decomposition(g, 2, "undirected", bad)
+        report = verify_decomposition(g, bad)
         assert not report.ok
         assert "cover" in report.problem
 
     def test_wrong_threshold_rejected(self):
         g = MultiGraph.undirected(2, [])
         bad = LaminarDecomposition(2, False, 9, (), ((0,), (1,)))
-        report = verify_decomposition(g, 2, "undirected", bad)
+        report = verify_decomposition(g, bad)
         assert not report.ok
         assert "threshold" in report.problem
 
     def test_mode_must_match_graph(self):
         dec = LaminarDecomposition(2, False, 1, (), ((0,), (1,)))
         d = MultiGraph.directed_graph(2, [])
-        assert not verify_decomposition(d, 2, "directed", dec).ok
-        with pytest.raises(GraphError):
-            verify_decomposition(d, 2, "sideways", dec)
+        assert not verify_decomposition(d, dec).ok
 
     def test_blocks_must_match_cut_classes(self):
         # Swapping two singleton blocks for a merged pair fails even when
         # sizes stay legal, because the classes induced by the cuts differ.
         d = MultiGraph.directed_graph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
         dec = decompose_directed(d, 2)
-        report = verify_decomposition(d, 2, "directed", dec)
+        report = verify_decomposition(d, dec)
         assert report.ok, report.problem
         bad = LaminarDecomposition(
             3, True, 12, dec.cuts, ((0, 1), (2, 3))
         )
-        report = verify_decomposition(d, 3, "directed", bad)
+        report = verify_decomposition(d, bad)
         assert not report.ok
+
+    @staticmethod
+    def _first_tree_edge(dec, tree_edge):
+        cuts = (replace(dec.cuts[0], tree_edge=tree_edge),) + dec.cuts[1:]
+        return replace(dec, cuts=cuts)
+
+    def test_forged_tree_edge_rejected(self):
+        g = bridge_of_triangles()
+        bad = self._first_tree_edge(decompose_undirected(g, 3), (999, 12345))
+        report = verify_decomposition(g, bad)
+        assert not report.ok
+        assert "cut 0 tree edge" in report.problem
+
+    def test_reversed_tree_edge_rejected(self):
+        g = bridge_of_triangles()
+        dec = decompose_undirected(g, 3)
+        a, b = dec.cuts[0].tree_edge
+        report = verify_decomposition(g, self._first_tree_edge(dec, (b, a)))
+        assert not report.ok
+        assert "cut 0 tree edge" in report.problem
+
+    def test_long_path_checked_in_one_pass(self):
+        # 799 nested unit cuts of an 800-vertex path: a pairwise laminarity
+        # check does cuts^2 set operations over the whole path.
+        n = 800
+        g = MultiGraph.undirected(n, [(v, v + 1) for v in range(n - 1)])
+        vs = list(range(n))
+        cuts = tuple(
+            SelectedCut((v, v + 1), frozenset(vs[:v + 1]),
+                        frozenset(vs[v + 1:]), 1)
+            for v in range(n - 1)
+        )
+        dec = LaminarDecomposition(3, False, 4, cuts, tuple((v,) for v in vs))
+        start = time.perf_counter()
+        report = verify_decomposition(g, dec)
+        elapsed = time.perf_counter() - start
+        assert report.ok, report.problem
+        assert elapsed < 2.0
+
+    @given(cut_families())
+    # A side meeting a nested pair {1, 2, 3} in {1, ..., 5}: it crosses
+    # the inner one only.
+    @example((MultiGraph.undirected(6, [(v, v + 1) for v in range(5)]), [
+        (frozenset({0}), frozenset({1, 2, 3, 4, 5})),
+        (frozenset({0, 4, 5}), frozenset({1, 2, 3})),
+        (frozenset({3, 4, 5}), frozenset({0, 1, 2})),
+    ]))
+    @settings(max_examples=300, deadline=None)
+    def test_laminarity_agrees_with_pairwise_reference(self, case):
+        g, sides = case
+        # t above n and m: no block is too large, no cut reaches threshold.
+        t = len(g.vertices) + g.edge_count + 1
+        cuts = tuple(
+            SelectedCut((min(x), min(y)), x, y, brute.cut_size(g, x))
+            for x, y in sides
+        )
+        blocks = tuple(sorted(
+            tuple(sorted(c))
+            for c in brute.cut_classes(g, [x for x, _ in sides])))
+        dec = LaminarDecomposition(t, False, cut_threshold(t, False), cuts,
+                                   blocks)
+        report = verify_decomposition(g, dec)
+        laminar = brute.first_crossing_pair(g, [x for x, _ in sides]) is None
+        assert report.ok == laminar, report.problem
+        if not laminar:
+            named = re.fullmatch(r"cuts (\d+) and (\d+) cross", report.problem)
+            i, j = map(int, named.groups())
+            assert brute.first_crossing_pair(
+                g, [sides[i][0], sides[j][0]]) == (0, 1)
 
 
 class TestUncrossing:
     def test_nested_sides(self):
         g = MultiGraph.undirected(4, [(0, 1), (1, 2), (2, 3)])
-        assert first_crossing_pair(g, [{0}, {0, 1}]) is None
-        assert first_crossing_pair(g, [{0, 1}, {2, 3}]) is None
-        assert first_crossing_pair(g, [{0, 1}, {1, 2}]) == (0, 1)
+        assert brute.first_crossing_pair(g, [{0}, {0, 1}]) is None
+        assert brute.first_crossing_pair(g, [{0, 1}, {2, 3}]) is None
+        assert brute.first_crossing_pair(g, [{0, 1}, {1, 2}]) == (0, 1)
 
     def test_separate_components_never_cross(self):
         g = MultiGraph.undirected(4, [(0, 1), (2, 3)])
-        assert first_crossing_pair(g, [{0}, {2}]) is None
-        assert first_crossing_pair(g, [{0, 2}, {1, 2}]) is None
+        assert brute.first_crossing_pair(g, [{0}, {2}]) is None
+        assert brute.first_crossing_pair(g, [{0, 2}, {1, 2}]) is None
 
 
 class TestBruteForceOracle:
@@ -540,7 +624,7 @@ class TestPipelineProperties:
         if isinstance(outcome, ImmersionCertificate):
             report = verify_certificate(g, outcome)
         else:
-            report = verify_decomposition(g, t, "undirected", outcome)
+            report = verify_decomposition(g, outcome)
         assert report.ok, report.problem
 
     @given(eulerian_digraphs(max_n=6, max_cycles=4), st.sampled_from([2, 3]))
@@ -550,7 +634,7 @@ class TestPipelineProperties:
         if isinstance(outcome, ImmersionCertificate):
             report = verify_certificate(d, outcome)
         else:
-            report = verify_decomposition(d, t, "directed", outcome)
+            report = verify_decomposition(d, outcome)
         assert report.ok, report.problem
 
     @given(multigraphs(max_n=6, max_m=10))
@@ -617,10 +701,11 @@ class TestOutcomeJson:
         (("cuts", 0, "size"), True),
         (("cuts", 0, "side", 0), "0"),
         (("cuts", 0, "tree_edge", 1), 2.5),
+        (("cuts", 0, "tree_edge"), [1, 2, 7]),
         (("blocks", 0, 0), None),
         (("directed",), "false"),
     ], ids=["threshold-float", "size-bool", "side-string", "tree-edge-float",
-            "block-null", "directed-string"])
+            "tree-edge-triple", "block-null", "directed-string"])
     def test_decomposition_field_types_enforced(self, path, value):
         doc = outcome_to_json(decompose_undirected(bridge_of_triangles(), 3))
         target = doc
