@@ -11,6 +11,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -93,9 +94,11 @@ def _cmd_find(args) -> int:
 
 
 def _load_artifact(path: str):
+    text = _read_text(path)
     try:
-        obj = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers too long to convert.
         raise GraphError(f"artifact is not valid JSON: {exc}") from None
     return outcome_from_json(obj)
 
@@ -149,7 +152,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and shared by later `main` calls: parsing
+    keeps no state in it, and handlers look pipelines up when they run."""
     parser = argparse.ArgumentParser(
         prog="cliquecuts",
         description="Laminar cut decompositions and clique immersion "

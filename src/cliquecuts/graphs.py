@@ -8,8 +8,7 @@ certificates can name edges that no longer exist in the current graph.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 class GraphError(Exception):
@@ -30,8 +29,7 @@ class UnsupportedSizeError(GraphError):
     """Valid input beyond a deliberate size limit of an exact method."""
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     """One edge of a multigraph.  Undirected edges keep tail <= head."""
 
     id: int
@@ -284,10 +282,10 @@ SIZE_LIMIT = 10**6
 def parse_graph(text: str) -> MultiGraph:
     """Read the edge-list format: a header line ``graph n m`` or
     ``digraph n m`` and then exactly m lines ``u v`` with 0-based endpoints.
-    Every number is a run of ASCII digits.  ``#`` starts a comment that runs
-    to the end of the line."""
+    Every number is a run of ASCII digits.  Lines end at ``\\n`` only, and
+    ``#`` starts a comment that runs to the end of its line."""
     rows: list[tuple[int, str]] = []
-    for no, raw in enumerate(text.splitlines(), start=1):
+    for no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             rows.append((no, line))
@@ -323,7 +321,9 @@ def parse_graph(text: str) -> MultiGraph:
             u = v = n
         if not (0 <= u < n) or not (0 <= v < n):
             raise ParseError(f"vertex index out of range in {line!r}", no)
-        edges.append((eid, u, v))
+        if not directed and u > v:
+            u, v = v, u
+        edges.append(EdgeRecord(eid, u, v))
     return MultiGraph(range(n), edges, directed)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import io
@@ -457,6 +458,48 @@ class TestExitCodes:
         assert run("gen", "--family", family, *sizes, "--out", out) == 4
         assert capsys.readouterr().err.startswith("unsupported size: ")
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["verify-cert", "verify-dec"])
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,
+        '{"kind": "certificate", "t": ' + "9" * 5000 + "}",
+    ], ids=["nested-too-deep", "integer-too-long"])
+    def test_unparsable_artifact_is_bad_input(self, workdir, capsys,
+                                              command, text):
+        # Raw text: json.dumps cannot write a 5000-digit integer.
+        art = workdir / "artifact.json"
+        art.write_text(text)
+        assert run(command, "--in", workdir / "k5.txt",
+                   "--artifact", art) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: artifact is not valid JSON: ")
+
+
+class TestParserReuse:
+    def test_later_calls_build_no_parser(self, workdir, monkeypatch, capsys):
+        host = workdir / "bridge.txt"
+        assert run("gomory-hu", "--in", host) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run("gomory-hu", "--in", host) == 0
+        assert run("gomory-hu", "--in", host) == 0
+        assert built == []
+
+    def test_no_state_kept_between_calls(self, workdir, capsys):
+        host, art = workdir / "bridge.txt", workdir / "artifact.json"
+        assert run("decompose", "--t", 3, "--mode", "undirected",
+                   "--in", host, "--out", art) == 0
+        with pytest.raises(SystemExit) as exc:
+            run("verify-cert", "--in", host)
+        assert exc.value.code == 2
+        assert run("verify-dec", "--in", host, "--artifact", art) == 0
+        assert "decomposition OK" in capsys.readouterr().out
 
 
 class TestModuleEntryPoint:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import brute
 import cliquecuts.graphs
 from cliquecuts import (
+    EdgeRecord,
     GraphError,
     MultiGraph,
     ParseError,
@@ -95,6 +96,40 @@ class TestParse:
         g = parse_graph("graph 03 1\n0 02\n")
         assert g.vertices == (0, 1, 2)
         assert [e.ends() for e in g.edges] == [(0, 2)]
+
+    # Unicode line breaks that str.splitlines() would also split at.
+    @pytest.mark.parametrize("sep", [
+        "\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+    ])
+    def test_comment_runs_to_newline(self, sep):
+        text = f"0 1 # note{sep} 1 0\n"
+        with pytest.raises(ParseError, match="expected 2 edge lines, found 1"):
+            parse_graph("graph 2 2\n" + text)
+        assert edge_pairs(parse_graph("graph 2 1\n" + text)) == [(0, 1)]
+
+    def test_undirected_ends_ordered(self):
+        assert parse_graph("graph 4 1\n3 1\n").edges == (EdgeRecord(0, 1, 3),)
+        assert parse_graph("digraph 4 1\n3 1\n").edges == (EdgeRecord(0, 3, 1),)
+
+
+class TestEdgeRecord:
+    def test_fields_are_read_only(self):
+        e = EdgeRecord(0, 1, 3)
+        for field in ("id", "tail", "head"):
+            with pytest.raises(AttributeError):
+                setattr(e, field, 7)
+        assert e == EdgeRecord(0, 1, 3)
+
+    def test_repr(self):
+        assert repr(EdgeRecord(0, 1, 3)) == "EdgeRecord(id=0, tail=1, head=3)"
+
+    def test_methods(self):
+        e = EdgeRecord(4, 1, 3)
+        assert (e.is_loop(), e.ends(), e.other_end(1), e.other_end(3)) == (
+            False, (1, 3), 3, 1)
+        assert EdgeRecord(5, 2, 2).is_loop()
+        with pytest.raises(GraphError, match="vertex 2 is not an end of edge 4"):
+            e.other_end(2)
 
 
 class TestSizeLimit:
