@@ -75,7 +75,7 @@ def _run_pipeline(args):
         outcome = decompose_directed(g, args.t)
     else:
         outcome = decompose_undirected(g, args.t)
-    _write(args.out, json.dumps(outcome_to_json(outcome), indent=2) + "\n")
+    _write(args.out, json.dumps(outcome_to_json(outcome)) + "\n")
     return outcome
 
 

@@ -177,10 +177,10 @@ class _Net:
                 for k in range(pushed):
                     yield (ids[k] if ids else None, tail, head)
 
-    def extract_trails(self, s_id: int, t_id: int, count: int) -> list[Trail]:
+    def extract_trails(self, s_id: int, count: int) -> list[Trail]:
         """Walk `count` edge-disjoint trails out of the flow, smallest edge id
-        first at every step.  Leftover flow (cycles) is discarded.  A final
-        hop on an id-less auxiliary arc is stripped from the trail."""
+        first at every step, each up to its hop on an id-less auxiliary arc,
+        which is dropped.  Leftover flow (cycles) is discarded."""
         outgoing: dict[int, list[tuple[int | None, int]]] = {}
         for eid, tail, head in self._flow_units():
             outgoing.setdefault(tail, []).append((eid, head))
@@ -190,19 +190,15 @@ class _Net:
         trails = []
         for _ in range(count):
             here = s_id
-            prev = here
-            last_eid: int | None = None
             edges: list[int] = []
-            while here != t_id:
+            while True:
                 eid, nxt = outgoing[here][cursor[here]]
                 cursor[here] += 1
-                prev = here
-                last_eid = eid
+                if eid is None:
+                    break
+                edges.append(eid)
                 here = nxt
-                if eid is not None:
-                    edges.append(eid)
-            end = prev if last_eid is None else t_id
-            trails.append(Trail(s_id, end, tuple(edges)))
+            trails.append(Trail(s_id, here, tuple(edges)))
         return trails
 
 
@@ -278,4 +274,4 @@ def menger_fan(g: MultiGraph, source: int,
             if not e.is_loop() and (e.tail in side) != (e.head in side)
         )
         raise FanInfeasible(CutResult(crossing, side), total)
-    return tuple(net.extract_trails(source, aux, total))
+    return tuple(net.extract_trails(source, total))

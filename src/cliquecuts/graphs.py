@@ -8,7 +8,7 @@ certificates can name edges that no longer exist in the current graph.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class GraphError(Exception):
@@ -213,47 +213,9 @@ class MultiGraph:
         return MultiGraph(self._vertex_set, self._edges.values(), False, self._next_id)
 
 
-class ProvenanceMap:
-    """Maps each current edge id to the ordered list of original edge ids it
-    replaces.  Fresh split edges concatenate their parents' lists; every
-    original id appears in at most one list."""
-
-    __slots__ = ("_m",)
-
-    def __init__(self, mapping: Mapping[int, Iterable[int]]):
-        self._m = {int(k): tuple(v) for k, v in mapping.items()}
-
-    @classmethod
-    def identity(cls, g: MultiGraph) -> "ProvenanceMap":
-        return cls({e.id: (e.id,) for e in g.edges})
-
-    def of(self, eid: int) -> tuple[int, ...]:
-        try:
-            return self._m[eid]
-        except KeyError:
-            raise GraphError(f"no provenance for edge {eid}") from None
-
-    def items(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        return iter(self._m.items())
-
-    def merge_for_split(self, e1: int, e2: int, fresh: int) -> "ProvenanceMap":
-        m = dict(self._m)
-        first = m.pop(e1)
-        second = m.pop(e2)
-        m[fresh] = first + second
-        return ProvenanceMap(m)
-
-    def __len__(self) -> int:
-        return len(self._m)
-
-
-def split_off(
-    g: MultiGraph, e1: int, e2: int, provenance: ProvenanceMap | None = None
-) -> tuple[MultiGraph, ProvenanceMap]:
-    """Replace the directed path u->v, v->w by one fresh arc u->w; a loop
-    appears when u == w.  Returns the new digraph and the provenance map
-    with the fresh arc mapped to the concatenation of its parents' trails.
-    """
+def split_off(g: MultiGraph, e1: int, e2: int) -> MultiGraph:
+    """Replace the directed path u->v, v->w by one fresh arc u->w, which
+    takes g's next edge id; a loop appears when u == w."""
     if not g.directed:
         raise GraphError("split_off applies to digraphs")
     if e1 == e2:
@@ -263,13 +225,10 @@ def split_off(
         raise GraphError(
             f"edges {e1} and {e2} do not form a directed path of length two"
         )
-    if provenance is None:
-        provenance = ProvenanceMap.identity(g)
     fresh = g.next_edge_id
     edges = [e for e in g.edges if e.id not in (e1, e2)]
     edges.append(EdgeRecord(fresh, r1.tail, r2.head))
-    g2 = MultiGraph(g.vertex_set, edges, True, fresh + 1)
-    return g2, provenance.merge_for_split(e1, e2, fresh)
+    return MultiGraph(g.vertex_set, edges, True, fresh + 1)
 
 
 # -- edge-list text format ----------------------------------------------------

@@ -10,18 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .flow import _Net
+from .graphs import GraphError, MultiGraph, NotEulerianError, UnsupportedSizeError
+
 # directed_edge_connectivity and split_off stay names of this module:
 # perfbench/tracer.py wraps transform.directed_edge_connectivity and
 # transform.split_off by name.
-from .flow import _Net, directed_edge_connectivity  # noqa: F401
-from .graphs import (  # noqa: F401
-    GraphError,
-    MultiGraph,
-    NotEulerianError,
-    ProvenanceMap,
-    UnsupportedSizeError,
-    split_off,
-)
+from .flow import directed_edge_connectivity  # noqa: F401
+from .graphs import split_off  # noqa: F401
 
 
 class NoAdmissiblePairError(GraphError):
@@ -56,8 +52,11 @@ class Arborescence:
 
 @dataclass
 class ReducedDigraph:
+    """The digraph left on the terminals, and for each of its arc ids the
+    trail of original arc ids, in travel order, that the arc stands for."""
+
     digraph: MultiGraph
-    provenance: ProvenanceMap
+    provenance: dict[int, tuple[int, ...]]
 
 
 class _SplitGuard:
@@ -250,7 +249,7 @@ def reduce_to_terminals(d: MultiGraph, terminals) -> ReducedDigraph:
             fresh += 1
     edges = [(i, x, y) for x in terms for i, y in outs[x].items()]
     g = MultiGraph(terms, edges, True, fresh)
-    return ReducedDigraph(g, ProvenanceMap(prov))
+    return ReducedDigraph(g, prov)
 
 
 def _deficient_set(

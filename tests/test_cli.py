@@ -69,6 +69,15 @@ class TestDecompose:
         assert doc["threshold"] == 4
         assert len(doc["blocks"]) == 6
 
+    def test_artifact_is_one_line_of_json(self, workdir):
+        out = workdir / "out.json"
+        run("decompose", "--t", 3, "--mode", "undirected",
+            "--in", workdir / "bridge.txt", "--out", out)
+        text = out.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        outcome = decompose_undirected(bridge_of_triangles(), 3)
+        assert json.loads(text) == outcome_to_json(outcome)
+
     def test_certificate_document(self, workdir):
         out = workdir / "out.json"
         code = run("decompose", "--t", 3, "--mode", "undirected",

@@ -1,4 +1,4 @@
-"""Graph values, parsing, split-off, contraction and provenance."""
+"""Graph values, parsing, split-off and contraction."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from cliquecuts import (
     GraphError,
     MultiGraph,
     ParseError,
-    ProvenanceMap,
     UnsupportedSizeError,
     parse_graph,
     serialize_graph,
@@ -239,11 +238,9 @@ class TestComponents:
 class TestSplitOff:
     def test_directed_path_becomes_shortcut(self):
         d = MultiGraph.directed_graph(3, [(0, 1), (1, 2), (2, 0)])
-        d2, prov = split_off(d, 0, 1)
+        d2 = split_off(d, 0, 1)
         assert edge_pairs(d2) == [(0, 2), (2, 0)]
         assert d2.edge(3).ends() == (0, 2)
-        assert prov.of(3) == (0, 1)
-        assert prov.of(2) == (2,)
 
     def test_rejects_undirected(self):
         g = MultiGraph.undirected(3, [(0, 1), (1, 2)])
@@ -252,7 +249,7 @@ class TestSplitOff:
 
     def test_digon_split_leaves_loop(self):
         d = MultiGraph.directed_graph(2, [(0, 1), (1, 0)])
-        d2, _ = split_off(d, 0, 1)
+        d2 = split_off(d, 0, 1)
         assert d2.edge_count == 1
         assert d2.edge(2).is_loop()
         assert d2.edge(2).tail == 0
@@ -260,7 +257,7 @@ class TestSplitOff:
     def test_fresh_id_is_next_edge_id(self):
         d = MultiGraph(range(3), [(0, 0, 1), (5, 1, 2)], True, 9)
         fresh = d.next_edge_id
-        d2, _ = split_off(d, 0, 5)
+        d2 = split_off(d, 0, 5)
         assert d2.has_edge(fresh)
         assert d2.next_edge_id == fresh + 1
 
@@ -292,14 +289,14 @@ class TestSplitOff:
         if not choices:
             return
         e1, e2 = rnd.choice(choices)
-        d2, prov = split_off(d, e1, e2)
+        d2 = split_off(d, e1, e2)
         assert d2.edge_count == d.edge_count - 1
         for v in d.vertices:
             din, dout = brute.degree(d, v)
             din2, dout2 = brute.degree(d2, v)
             assert (din - dout) == (din2 - dout2)
-        originals = sorted(i for _, trail in prov.items() for i in trail)
-        assert originals == sorted(e.id for e in d.edges)
+        ids = {e.id for e in d.edges} - {e1, e2} | {d.next_edge_id}
+        assert {e.id for e in d2.edges} == ids
 
 
 class TestContract:
@@ -358,17 +355,3 @@ class TestRewrites:
         with pytest.raises(GraphError):
             MultiGraph(range(2), [(0, 0, 1), (0, 1, 0)], False)
 
-
-class TestProvenance:
-    def test_identity(self):
-        g = MultiGraph.undirected(3, [(0, 1), (1, 2)])
-        prov = ProvenanceMap.identity(g)
-        assert prov.of(0) == (0,)
-        assert len(prov) == 2
-
-    def test_chained_splits_concatenate(self):
-        d = MultiGraph.directed_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        d2, prov = split_off(d, 0, 1)
-        d3, prov = split_off(d2, 4, 2, prov)
-        assert prov.of(5) == (0, 1, 2)
-        assert prov.of(3) == (3,)

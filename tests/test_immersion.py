@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 import time
 import tracemalloc
@@ -508,6 +509,26 @@ class TestVerifyDecomposition:
         assert report.ok, report.problem
         assert elapsed < 2.0
 
+    def test_repeated_cut_rejected(self):
+        g = bridge_of_triangles()
+        dec = decompose_undirected(g, 3)
+        cuts = dec.cuts + dec.cuts[:1]
+        report = verify_decomposition(g, replace(dec, cuts=cuts))
+        assert report.problem == f"cuts 0 and {len(dec.cuts)} are the same cut"
+
+    def test_repeated_cuts_rejected_before_recounts(self):
+        # Recounting every copy costs copies x edges: a short artifact
+        # could make the check as slow as it likes.
+        g = MultiGraph.undirected(2, [(0, 1)] * 20000)
+        cut = SelectedCut((0, 1), frozenset({0}), frozenset({1}), 20000)
+        dec = LaminarDecomposition(200, False, cut_threshold(200, False),
+                                   (cut,) * 2000, ((0,), (1,)))
+        start = time.perf_counter()
+        report = verify_decomposition(g, dec)
+        elapsed = time.perf_counter() - start
+        assert report.problem == "cuts 0 and 1 are the same cut"
+        assert elapsed < 1.5
+
     @given(cut_families())
     # A side meeting a nested pair {1, 2, 3} in {1, ..., 5}: it crosses
     # the inner one only.
@@ -532,12 +553,17 @@ class TestVerifyDecomposition:
                                    blocks)
         report = verify_decomposition(g, dec)
         laminar = brute.first_crossing_pair(g, [x for x, _ in sides]) is None
-        assert report.ok == laminar, report.problem
-        if not laminar:
-            named = re.fullmatch(r"cuts (\d+) and (\d+) cross", report.problem)
-            i, j = map(int, named.groups())
-            assert brute.first_crossing_pair(
-                g, [sides[i][0], sides[j][0]]) == (0, 1)
+        distinct = len({frozenset(pair) for pair in sides}) == len(sides)
+        assert report.ok == (laminar and distinct), report.problem
+        if not report.ok:
+            named = re.fullmatch(r"cuts (\d+) and (\d+) (cross|are the same cut)",
+                                 report.problem)
+            i, j = int(named[1]), int(named[2])
+            if named[3] == "cross":
+                assert brute.first_crossing_pair(
+                    g, [sides[i][0], sides[j][0]]) == (0, 1)
+            else:
+                assert i < j and set(sides[i]) == set(sides[j])
 
 
 class TestUncrossing:
@@ -614,6 +640,38 @@ class TestBruteForceOracle:
         dec = decompose_undirected(g, 2)
         assert isinstance(dec, LaminarDecomposition)
         assert brute_force_immersion(4, g) is None
+
+
+def swapped_circulant(n, k, rng):
+    """Simple Eulerian digraph with every in- and outdegree k: the
+    circulant v -> v+s over a seeded set of k offsets, then 4n attempts at
+    a balance-preserving swap, a->b and c->d becoming a->d and c->b when
+    both new arcs are absent and the four ends are distinct."""
+    offsets = rng.sample(range(1, n), k)
+    arcs = {(v, (v + s) % n) for v in range(n) for s in offsets}
+    for _ in range(4 * n):
+        (a, b), (c, d) = rng.sample(sorted(arcs), 2)
+        if len({a, b, c, d}) == 4 and not {(a, d), (c, b)} & arcs:
+            arcs -= {(a, b), (c, d)}
+            arcs |= {(a, d), (c, b)}
+    return MultiGraph.directed_graph(n, sorted(arcs))
+
+
+class TestOutdegreeClaim:
+    """The paper's claim: a simple Eulerian digraph with minimum outdegree
+    t(t-1) immerses the bidirected K_t.  A decomposition here is a
+    counterexample or a bug."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("t, n", [(4, 13), (4, 19), (5, 21), (5, 26)])
+    def test_swapped_circulant_certifies(self, t, n, seed):
+        k = t * (t - 1)
+        d = swapped_circulant(n, k, random.Random(seed))
+        assert {brute.degree(d, v) for v in d.vertices} == {(k, k)}
+        outcome = decompose_directed(d, t)
+        assert isinstance(outcome, ImmersionCertificate)
+        report = verify_certificate(d, outcome)
+        assert report.ok, report.problem
 
 
 class TestPipelineProperties:

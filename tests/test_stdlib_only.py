@@ -1,5 +1,6 @@
 """The library stays stdlib-only: every module of src/cliquecuts imports
-nothing but the standard library and the package itself."""
+nothing but the standard library and the package itself, and every module
+but __init__.py uses each name it imports."""
 
 from __future__ import annotations
 
@@ -22,6 +23,27 @@ def top_level_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append(node.module.split(".")[0])
     return found
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module-level imports of `source` that the module
+    never reads.  ``__future__`` imports and statements marked
+    ``# noqa: F401`` are skipped."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        bound.extend(alias.asname or alias.name.split(".")[0]
+                     for alias in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read]
 
 
 def test_finds_imports_at_any_depth():
@@ -48,3 +70,26 @@ def test_module_imports_only_stdlib(path):
         if name not in sys.stdlib_module_names and name != "cliquecuts"
     }
     assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def test_finds_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, json as js\n"
+        "from .flow import (  # noqa: F401\n"
+        "    min_cut,\n"
+        ")\n"
+        "from .graphs import MultiGraph, split_off\n"
+        "def f(g: MultiGraph):\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports(source) == ["js", "split_off"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda path: path.name,
+)
+def test_module_uses_its_imports(path):
+    unused = unused_imports(path.read_text(encoding="utf-8"))
+    assert not unused, f"{path.name} imports {unused} without using them"
