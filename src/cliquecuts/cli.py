@@ -143,6 +143,8 @@ def _cmd_gen(args) -> int:
     k = getattr(args, second)
     if args.n is None or k is None:
         raise GraphError(f"{args.family} needs --n and --{second}")
+    if min(args.n, k) < 0:
+        raise GraphError(f"--n and --{second} must be non-negative")
     # Checked before anything is generated: --n vertices, and --m edges or
     # --n times --floor arcs.
     edges = k if second == "m" else args.n * k

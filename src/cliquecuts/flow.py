@@ -1,5 +1,10 @@
 """Exact max-flow machinery for multigraphs.
 
+One breadth-first search of the residual network finds the shortest
+augmenting paths (Edmonds and Karp 1972) and the cut sides: after a maximum
+flow, the vertices that the source reaches are the smallest source side of
+a minimum cut, whichever maximum flow was found.
+
 Parallel edges between the same endpoints are handled as one arc with
 integer capacity and decomposed back to distinct edge ids afterwards.
 Undirected edges become two opposite arcs sharing residual bookkeeping.
@@ -38,7 +43,8 @@ class FanInfeasible(GraphError):
 
 
 class _Net:
-    """Dinic solver.  Arcs are stored in pairs; arc a's reverse is a ^ 1."""
+    """Edmonds-Karp solver.  Arcs are stored in pairs; arc a's reverse is
+    a ^ 1."""
 
     def __init__(self):
         self._index: dict[int, int] = {}
@@ -73,95 +79,54 @@ class _Net:
         self._adj[ui].append(a)
         self._adj[vi].append(a + 1)
 
-    def _levels(self, s: int, t: int) -> list[int]:
-        """BFS levels from s in the residual network, -1 where unreached.
-        The search stops once t is labelled: a vertex at t's level or
-        beyond is a dead end of the level graph, labelled or not, so the
-        augmenting paths are the same as after a full search."""
+    def _search(self, s: int, t: int | None) -> list[int | None]:
+        """Breadth-first search of the residual network from s: the arc by
+        which each vertex was first reached, -1 at s and None where
+        unreached.  Stops as soon as t is labelled; with t None it labels
+        every vertex that s reaches."""
         adj, to, res = self._adj, self._to, self._res
-        level = [-1] * len(self._verts)
-        level[s] = 0
+        via: list[int | None] = [None] * len(self._verts)
+        via[s] = -1
         queue = deque([s])
         while queue:
-            x = queue.popleft()
-            nxt = level[x] + 1
-            for a in adj[x]:
+            for a in adj[queue.popleft()]:
                 y = to[a]
-                if res[a] > 0 and level[y] < 0:
-                    level[y] = nxt
+                if via[y] is None and res[a] > 0:
+                    via[y] = a
                     if y == t:
-                        return level
+                        return via
                     queue.append(y)
-        return level
-
-    def _augment(self, s: int, t: int, level: list[int], it: list[int],
-                 room: int | None) -> int:
-        """Push one augmenting path of the level graph, at most `room` units
-        of it when `room` is given, and return the amount pushed, 0 once no
-        path is left.  A depth-first walk on an explicit stack of arcs;
-        it[x] moves past an arc only when that arc leaves the level graph or
-        leads to a dead end, so paths come out in the order of a recursive
-        search, with no recursion limit."""
-        adj, to, res = self._adj, self._to, self._res
-        path: list[int] = []
-        x = s
-        while x != t:
-            arcs = adj[x]
-            i, end, nxt = it[x], len(arcs), level[x] + 1
-            while i < end:
-                a = arcs[i]
-                if res[a] > 0 and level[to[a]] == nxt:
-                    break
-                i += 1
-            it[x] = i
-            if i < end:
-                path.append(arcs[i])
-                x = to[arcs[i]]
-            elif path:
-                x = to[path.pop() ^ 1]
-                it[x] += 1
-            else:
-                return 0
-        got = min(res[a] for a in path)
-        if room is not None and got > room:
-            got = room
-        for a in path:
-            res[a] -= got
-            res[a ^ 1] += got
-        return got
+        return via
 
     def max_flow(self, s_id: int, t_id: int, limit: int | None = None) -> int:
-        """Augment from s to t and return the amount pushed: a maximum flow,
-        or exactly `limit` units when the residual network holds that many
-        (the last path is pushed only in part)."""
+        """Push shortest augmenting paths from s to t and return the amount
+        pushed: a maximum flow, or exactly `limit` units when the residual
+        network holds that many (the last path is pushed only in part)."""
         s, t = self.vertex(s_id), self.vertex(t_id)
+        to, res = self._to, self._res
         total = 0
         while limit is None or total < limit:
-            level = self._levels(s, t)
-            if level[t] < 0:
+            via = self._search(s, t)
+            if via[t] is None:
                 break
-            it = [0] * len(self._verts)
-            while limit is None or total < limit:
-                room = None if limit is None else limit - total
-                got = self._augment(s, t, level, it, room)
-                if not got:
-                    break
-                total += got
+            path = []
+            x = t
+            while x != s:
+                path.append(via[x])
+                x = to[via[x] ^ 1]
+            got = min(res[a] for a in path)
+            if limit is not None and got > limit - total:
+                got = limit - total
+            for a in path:
+                res[a] -= got
+                res[a ^ 1] += got
+            total += got
         return total
 
     def cut_side(self, s_id: int) -> frozenset:
-        s = self.vertex(s_id)
-        seen = [False] * len(self._verts)
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for a in self._adj[x]:
-                y = self._to[a]
-                if self._res[a] > 0 and not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
-        return frozenset(self._verts[i] for i, ok in enumerate(seen) if ok)
+        """The vertices that s reaches in the residual network."""
+        via = self._search(self.vertex(s_id), None)
+        return frozenset(v for v, a in zip(self._verts, via) if a is not None)
 
     def _flow_units(self):
         """Yield one (edge id or None, tail vertex, head vertex) per unit of

@@ -65,6 +65,15 @@ def min_cut_directed(d: MultiGraph, u: int, v: int) -> int:
     return min(out_arcs(d, side) for side in _sides_separating(d.vertices, u, v))
 
 
+def min_cut_sides(g: MultiGraph, u: int, v: int) -> list[frozenset]:
+    """The u-side of every minimum u-v cut: every bipartition with u inside
+    and v outside whose boundary (arcs leaving it, on a digraph) is least."""
+    size = out_arcs if g.directed else cut_size
+    sides = list(_sides_separating(g.vertices, u, v))
+    best = min(size(g, side) for side in sides)
+    return [side for side in sides if size(g, side) == best]
+
+
 def strong_connectivity(d: MultiGraph) -> int:
     """Global minimum of out_arcs over nonempty proper vertex subsets.
 

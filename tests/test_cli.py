@@ -620,3 +620,12 @@ class TestGen:
                    "--m", 0, "--out", out) == 2
         assert "non-negative" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_two_negatives_are_not_a_size(self, workdir, capsys):
+        # -2000000 vertices times outdegree -1 must not read as 2 * 10**6
+        # arcs, over the size limit (exit 4): a negative value is bad input.
+        out = workdir / "gen.txt"
+        assert run("gen", "--family", "simple-eulerian-min-outdeg",
+                   "--n", -2000000, "--floor", -1, "--out", out) == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()

@@ -19,7 +19,12 @@ from cliquecuts import (
     min_cut,
     thick_star,
 )
+from cliquecuts.flow import _net_for
 from strategies import digraphs, eulerian_digraphs, multigraphs
+
+graphs_or_digraphs = st.one_of(
+    multigraphs(max_n=6, max_m=12, min_n=2), digraphs(max_n=6, max_m=12, min_n=2)
+)
 
 
 def complete_graph(n):
@@ -139,10 +144,11 @@ class TestMinCut:
         assert cut.side == frozenset({0})
 
     def test_path_two_optima(self):
+        # {0} and {0, 1} both cut one edge; the side is the smaller one.
         g = MultiGraph.undirected(3, [(0, 1), (1, 2)])
         cut = min_cut(g, 0, 2)
         assert cut.value == 1
-        assert cut.side in (frozenset({0}), frozenset({0, 1}))
+        assert cut.side == frozenset({0})
 
     def test_directed_cut_side(self):
         d = MultiGraph.directed_graph(3, [(0, 1), (1, 2), (2, 0)])
@@ -186,6 +192,22 @@ class TestMinCut:
         assert u in cut.side and v not in cut.side
         assert brute.out_arcs(d, cut.side) == cut.value
 
+    @given(graphs_or_digraphs, st.data())
+    @settings(max_examples=150)
+    def test_side_is_the_smallest_minimum_side(self, g, data):
+        # The u-sides of the minimum u-v cuts are closed under intersection,
+        # so one of them lies inside all the others.  It does not depend on
+        # which maximum flow the solver finds, so neither do cut trees.
+        u, v = data.draw(
+            st.lists(
+                st.sampled_from(g.vertices), min_size=2, max_size=2, unique=True
+            )
+        )
+        sides = brute.min_cut_sides(g, u, v)
+        smallest = min(sides, key=len)
+        assert all(smallest <= side for side in sides)
+        assert min_cut(g, u, v).side == smallest
+
     @given(multigraphs(max_n=5, max_m=8, min_n=2), st.data())
     @settings(max_examples=60)
     def test_loops_do_not_matter(self, g, data):
@@ -201,6 +223,50 @@ class TestMinCut:
             False,
         )
         assert min_cut(looped, u, v).value == min_cut(g, u, v).value
+
+
+def assert_feasible_flow(net, s, t, value):
+    """The flow left in `net` respects every capacity and carries `value`
+    units from s to t, conserved at every other vertex."""
+    res, init, to, verts = net._res, net._init, net._to, net._verts
+    out = dict.fromkeys(verts, 0)  # net outflow per vertex
+    for a in range(0, len(to), 2):
+        # Arc a and its reverse hold the bundle's capacities between them;
+        # neither residual is negative exactly when the flow fits.
+        assert res[a] >= 0 and res[a + 1] >= 0
+        assert res[a] + res[a + 1] == init[a] + init[a + 1]
+        f = init[a] - res[a]  # flow along arc a, negative when reversed
+        out[verts[to[a + 1]]] += f
+        out[verts[to[a]]] -= f
+    assert out == {
+        w: value if w == s else -value if w == t else 0 for w in verts
+    }
+
+
+class TestLimitedMaxFlow:
+    @given(graphs_or_digraphs, st.data())
+    @settings(max_examples=80)
+    def test_pushes_exactly_the_limit(self, g, data):
+        u, v = data.draw(
+            st.lists(
+                st.sampled_from(g.vertices), min_size=2, max_size=2, unique=True
+            )
+        )
+        lam = (brute.min_cut_directed(g, u, v) if g.directed
+               else brute.min_cut_undirected(g, u, v))
+        for k in range(lam + 2):
+            net = _net_for(g)
+            assert net.max_flow(u, v, limit=k) == min(k, lam)
+            assert_feasible_flow(net, u, v, min(k, lam))
+
+    def test_last_path_pushed_in_part(self):
+        # One path of capacity 5: a limit of 3 takes 3 units of it.
+        g = MultiGraph.undirected(3, [(0, 1)] * 5 + [(1, 2)] * 5)
+        net = _net_for(g)
+        assert net.max_flow(0, 2, limit=3) == 3
+        assert_feasible_flow(net, 0, 2, 3)
+        assert net.max_flow(0, 2) == 2
+        assert_feasible_flow(net, 0, 2, 5)
 
 
 class TestMengerFan:

@@ -1,6 +1,7 @@
 """The library stays stdlib-only: every module of src/cliquecuts imports
-nothing but the standard library and the package itself, and every module
-but __init__.py uses each name it imports."""
+nothing but the standard library and the package itself, every module
+but __init__.py uses each name it imports, and every private function,
+method or class is referenced somewhere in the package."""
 
 from __future__ import annotations
 
@@ -93,3 +94,45 @@ def test_finds_unused_imports():
 def test_module_uses_its_imports(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of every function, method or class in `sources` whose
+    name has one leading underscore and is never read, as a bare name or
+    as an attribute, by any of the sources."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((module, node.name))
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}:{name}" for module, name in defined
+                  if name not in read)
+
+
+def test_finds_unreferenced_private_defs():
+    sources = {
+        "a": (
+            "class _Net:\n"
+            "    def _levels(self): ...\n"
+            "    def _search(self): ...\n"
+            "    def max_flow(self):\n"
+            "        return self._search()\n"
+            "def _unused(): ...\n"
+            "def __getattr__(name): ...\n"
+        ),
+        "b": "from .a import _Net\nnet = _Net()\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a:_levels", "a:_unused"]
+
+
+def test_private_defs_are_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    unused = unreferenced_private_defs(sources)
+    assert not unused, f"private definitions never referenced: {unused}"
