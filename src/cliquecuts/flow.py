@@ -203,15 +203,13 @@ def directed_edge_connectivity(d: MultiGraph, u: int, v: int) -> int:
 def menger_fan(g: MultiGraph, source: int,
                demands: dict[int, int]) -> tuple[Trail, ...]:
     """Edge-disjoint trails from `source`, exactly demands[v] of them ending
-    at each demanded vertex.
+    at each demanded vertex; directed trails on a digraph.
 
     Solved as one flow to an auxiliary vertex joined to each demanded vertex
     by demands[v] parallel edges; the auxiliary vertex never appears in the
     output.  Raises FanInfeasible with the blocking cut when the demands
-    cannot be met.
+    cannot be met; on a digraph the cut counts the arcs leaving its side.
     """
-    if g.directed:
-        raise GraphError("menger_fan applies to undirected graphs")
     if source not in g.vertex_set:
         raise GraphError(f"unknown vertex {source}")
     total = 0
@@ -236,7 +234,8 @@ def menger_fan(g: MultiGraph, source: int,
         side = net.cut_side(source)
         crossing = sum(
             1 for e in g.edges
-            if not e.is_loop() and (e.tail in side) != (e.head in side)
+            if (e.tail in side) != (e.head in side)
+            and (e.tail in side or not g.directed)
         )
         raise FanInfeasible(CutResult(crossing, side), total)
     return tuple(net.extract_trails(source, total))

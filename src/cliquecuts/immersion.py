@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Mapping
 
-from .flow import CutResult, menger_fan, min_cut
+from .flow import CutResult, Trail, menger_fan, min_cut
 from .gomoryhu import build_gomory_hu
 from .graphs import (
     GraphError,
@@ -24,7 +24,10 @@ from .graphs import (
     NotEulerianError,
     UnsupportedSizeError,
 )
-from .transform import arborescence_path, pack_arborescences, reduce_to_terminals
+
+# reduce_to_terminals and pack_arborescences stay names of this module:
+# perfbench/tracer.py wraps both, as attributes of immersion, by name.
+from .transform import pack_arborescences, reduce_to_terminals  # noqa: F401
 
 
 def cut_threshold(t: int, directed: bool) -> int:
@@ -176,77 +179,93 @@ def _check_terminals(g: MultiGraph, terminals) -> list[int]:
     return terms
 
 
-def extract_clique_immersion(g: MultiGraph, terminals) -> ImmersionCertificate:
-    """Clique immersion certificate with phi(i) = terminals[i].
+def _return_walks(d: MultiGraph, terms: list[int],
+                  fan: tuple[Trail, ...]) -> dict[int, list[tuple[int, ...]]]:
+    """t-1 walks from each terminal but terms[0] back to it, each following
+    the smallest-id arc that neither the fan nor an earlier walk used.
+    Without the fan's arcs an Eulerian host is unbalanced only at the
+    terminals, and only terms[0] takes in more than it sends out, so no
+    walk can stop anywhere else."""
+    used = {eid for tr in fan for eid in tr.edges}
+    outs: dict[int, list[tuple[int, int]]] = {v: [] for v in d.vertices}
+    for e in d.edges:
+        if e.id not in used and not e.is_loop():
+            outs[e.tail].append((e.id, e.head))
+    nxt = {v: iter(arcs) for v, arcs in outs.items()}
+    walks: dict[int, list[tuple[int, ...]]] = {q: [] for q in terms[1:]}
+    for q in terms[1:]:
+        for _ in range(len(terms) - 1):
+            here, walk = q, []
+            while here != terms[0]:
+                eid, here = next(nxt[here])
+                walk.append(eid)
+            walks[q].append(tuple(walk))
+    return walks
 
-    Builds the fan of (t-1)^2 edge-disjoint trails out of terminals[0],
-    t-1 of them to each other terminal, and reads each fan trail as one
-    edge of thick_star(t): centre terminals[0], leaf l terminals[l].  The
-    pattern trails are thick_star_route(t) walked through that star, a
-    star edge taken from the centre riding its fan trail forwards and one
-    taken from the leaf riding it reversed.  Feasibility is re-checked by
-    the fan itself; FanInfeasible carries the violated cut.
-    """
-    if g.directed:
-        raise GraphError("extract_clique_immersion applies to undirected hosts")
-    terms = _check_terminals(g, terminals)
+
+def _route_thick_star(g: MultiGraph, terms: list[int]) -> ImmersionCertificate:
+    """Certificate with phi(i) = terms[i] through thick_star(t), centre
+    terms[0] and leaf l terms[l].  The fan of (t-1)^2 trails out of
+    terms[0], t-1 to each leaf, gives each star edge its copy away from the
+    centre; its copy toward the centre is that trail reversed on a graph
+    and a return walk on a digraph.  thick_star_route(t) is walked through
+    those copies, both ways on a digraph, and trimmed to paths."""
     t = len(terms)
-    source = terms[0]
-    fan = menger_fan(g, source, {v: t - 1 for v in terms[1:]})
-    per_end: dict[int, list[tuple[int, ...]]] = {v: [] for v in terms[1:]}
-    for tr in fan:
-        per_end[tr.end].append(tr.edges)
-    if any(len(bundle) != t - 1 for bundle in per_end.values()):
-        raise GraphError("internal: fan returned a wrong trail count")
+    fan = menger_fan(g, terms[0], {v: t - 1 for v in terms[1:]})
+    away = {v: [tr.edges for tr in fan if tr.end == v] for v in terms[1:]}
+    if g.directed:
+        toward = _return_walks(g, terms, fan)
+    else:
+        toward = {v: [tr[::-1] for tr in bundle] for v, bundle in away.items()}
     star = thick_star(t)
-    # A leaf's spoke copies take its terminal's fan trails in fan order.
-    bundles = {leaf: iter(per_end[terms[leaf]]) for leaf in range(1, t)}
-    spoke = {e.id: next(bundles[e.head]) for e in star.graph.edges}
+    # A leaf's spokes take its terminal's two copies in order.
+    copies = {v: iter(zip(away[v], toward[v])) for v in terms[1:]}
+    spoke = {e.id: next(copies[terms[e.head]]) for e in star.graph.edges}
+    route = thick_star_route(t).trails
+    if g.directed:
+        route = {**route, **{(q, p): tr[::-1] for (p, q), tr in route.items()}}
     trails: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (p, q), star_trail in thick_star_route(t).trails.items():
-        here = p
-        walk: list[int] = []
+    for (p, q), star_trail in route.items():
+        here, walk = p, []
         for k in star_trail:
-            walk.extend(spoke[k] if here == 0 else reversed(spoke[k]))
+            walk.extend(spoke[k][0] if here == 0 else spoke[k][1])
             here = star.graph.edge(k).other_end(here)
         trails[(p, q)] = tuple(_trim_to_path(g, walk, terms[p], terms[q]))
-    return ImmersionCertificate(t, False, tuple(terms), trails)
+    return ImmersionCertificate(t, g.directed, tuple(terms), trails)
+
+
+def extract_clique_immersion(g: MultiGraph, terminals) -> ImmersionCertificate:
+    """Clique immersion certificate with phi(i) = terminals[i]: each
+    thick_star(t) edge rides one trail of the fan out of terminals[0],
+    forwards from the centre and reversed from the leaf.  Feasibility is
+    checked by the fan itself; FanInfeasible carries the violated cut."""
+    if g.directed:
+        raise GraphError("extract_clique_immersion applies to undirected hosts")
+    return _route_thick_star(g, _check_terminals(g, terminals))
 
 
 def extract_directed_clique_immersion(d: MultiGraph, terminals) -> ImmersionCertificate:
     """Bidirected-clique immersion certificate on an Eulerian digraph.
 
     Re-verifies that every two terminals are separated only by cuts of at
-    least 2t(t-1) edges (counting both directions), splits off all other
-    vertices, packs t-1 spanning arborescences per terminal in the reduced
-    digraph, reads one root-to-target path out of each, and lifts those
-    paths back through the provenance of the splits.
+    least 2t(t-1) edges (counting both directions), which on an Eulerian
+    host have t(t-1) arcs each way, so the directed fan out of
+    terminals[0] exists.  Each thick-star edge rides a fan trail away from
+    terminals[0] and a return walk toward it, and each pattern edge of
+    thick_star_route(t) is walked both ways.
     """
     if not d.directed:
         raise GraphError("extract_directed_clique_immersion applies to digraphs")
     if not d.is_eulerian():
         raise NotEulerianError("host digraph must be Eulerian")
     terms = _check_terminals(d, terminals)
-    t = len(terms)
-    required = cut_threshold(t, True)
+    required = cut_threshold(len(terms), True)
     und = d.underlying()
     for a, b in combinations(sorted(terms), 2):
         cut = min_cut(und, a, b)
         if cut.value < required:
             raise TerminalCutTooSmall((a, b), cut, required)
-    red = reduce_to_terminals(d, terms)
-    roots = [v for v in terms for _ in range(t - 1)]
-    arbs = pack_arborescences(red.digraph, roots)
-    trails: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i in range(t):
-        others = sorted((j for j in range(t) if j != i), key=lambda j: terms[j])
-        for k, j in enumerate(others):
-            arb = arbs[i * (t - 1) + k]
-            lifted: list[int] = []
-            for eid in arborescence_path(arb, terms[j]):
-                lifted.extend(red.provenance[eid])
-            trails[(i, j)] = tuple(_trim_to_path(d, lifted, terms[i], terms[j]))
-    return ImmersionCertificate(t, True, tuple(terms), trails)
+    return _route_thick_star(d, terms)
 
 
 def _pipeline(g: MultiGraph, t: int, directed: bool):

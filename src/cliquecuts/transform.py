@@ -1,9 +1,10 @@
 """Connectivity-preserving rewrites of Eulerian digraphs.
 
-Two rewrites feed the directed certificate pipeline: splitting off all edges
-at non-terminal vertices while preserving directed connectivity between the
-surviving terminals, and packing edge-disjoint spanning arborescences with
-prescribed (possibly repeated) roots.
+The classical route behind the directed threshold 2t(t-1), which the
+directed pipeline does not run: splitting off all edges at non-terminal
+vertices while preserving directed connectivity between the surviving
+terminals (Mader), and packing edge-disjoint spanning arborescences with
+prescribed (possibly repeated) roots (Edmonds).
 """
 from __future__ import annotations
 
@@ -47,7 +48,6 @@ class Arborescence:
 
     root: int
     edges: tuple[int, ...]
-    parents: dict[int, tuple[int, int]]  # vertex -> (parent vertex, edge id)
 
 
 @dataclass
@@ -316,11 +316,8 @@ def pack_arborescences(d: MultiGraph, roots) -> list[Arborescence]:
         need = sum(1 for r in roots if r not in vset)
         raise PackInfeasible(vset, indeg, need)
     k = len(roots)
-    parents: list[dict[int, tuple[int, int]]] = [{} for _ in range(k)]
     tree_edges: list[list[int]] = [[] for _ in range(k)]
     unused = {eid for eid, _, _ in arcs}
-    heads = {e.id: e.head for e in d.edges}
-    tails = {e.id: e.tail for e in d.edges}
     while True:
         grow = next((i for i in range(k) if covered[i] != full), None)
         if grow is None:
@@ -333,7 +330,6 @@ def pack_arborescences(d: MultiGraph, roots) -> list[Arborescence]:
             covered[grow] |= hm
             rest = [a for a in arcs if a[0] in unused]
             if _deficient_set(rest, covered, full) is None:
-                parents[grow][heads[eid]] = (tails[eid], eid)
                 tree_edges[grow].append(eid)
                 accepted = True
                 break
@@ -345,21 +341,6 @@ def pack_arborescences(d: MultiGraph, roots) -> list[Arborescence]:
                 "condition held"
             )
     return [
-        Arborescence(roots[i], tuple(sorted(tree_edges[i])), parents[i])
-        for i in range(k)
+        Arborescence(roots[i], tuple(sorted(tree_edges[i]))) for i in range(k)
     ]
 
-
-def arborescence_path(arb: Arborescence, target: int) -> list[int]:
-    """Edge ids of the unique root-to-target path, in travel order."""
-    if target == arb.root:
-        raise GraphError("path target must differ from the root")
-    if target not in arb.parents:
-        raise GraphError(f"vertex {target} is not covered by the arborescence")
-    path = []
-    x = target
-    while x != arb.root:
-        x, eid = arb.parents[x]
-        path.append(eid)
-    path.reverse()
-    return path

@@ -428,16 +428,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "internal error: RuntimeError: cut tree lost an edge\n")
 
-    def test_unsupported_size(self, workdir, capsys):
+    def test_directed_t15_certifies(self, workdir, capsys):
         # t = 15 passes the cut test only with 15 parallel arcs per ordered
-        # pair of a 15-vertex host; packing 15 terminals exceeds its limit.
+        # pair of a 15-vertex host; directed extraction has no vertex limit.
         pairs = [(a, b) for a in range(15) for b in range(15) if a != b]
         host = workdir / "k15.txt"
         host.write_text(serialize_graph(
             MultiGraph.directed_graph(15, pairs * 15)))
-        code = run("decompose", "--t", 15, "--mode", "directed", "--in", host)
-        assert code == 4
-        assert capsys.readouterr().err.startswith("unsupported size: ")
+        art = workdir / "k15.json"
+        assert run("decompose", "--t", 15, "--mode", "directed", "--in", host,
+                   "--out", art) == 0
+        assert json.loads(art.read_text())["kind"] == "certificate"
+        assert run("verify-cert", "--in", host, "--artifact", art) == 0
+        assert "certificate OK" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ("decompose", "--t", 3, "--mode", "undirected"),

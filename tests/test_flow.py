@@ -312,6 +312,20 @@ class TestMengerFan:
         fan = menger_fan(g, 0, {5: k})
         assert len(fan) == k == 1
 
+    def test_directed_trails_follow_arcs(self):
+        # Against the arcs, 2->0 would be a shorter way to 2.
+        d = MultiGraph.directed_graph(
+            3, [(0, 1), (1, 2), (2, 0), (0, 2), (2, 0)])
+        fan = menger_fan(d, 0, {2: 2})
+        assert sorted(tr.edges for tr in fan) == [(0, 1), (3,)]
+
+    def test_directed_cut_counts_arcs_out(self):
+        # Two edges cross {0}, but only 0->1 leaves it.
+        d = MultiGraph.directed_graph(3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(FanInfeasible) as info:
+            menger_fan(d, 0, {2: 2})
+        assert info.value.cut == CutResult(1, frozenset({0}))
+
     @given(multigraphs(max_n=6, max_m=12, min_n=2), st.data())
     @settings(max_examples=100)
     def test_fan_at_capacity(self, g, data):
@@ -335,24 +349,31 @@ class TestMengerFan:
         with pytest.raises(FanInfeasible):
             menger_fan(g, u, {v: k + 1})
 
-    @given(multigraphs(max_n=6, max_m=10, min_n=3), st.data())
-    @settings(max_examples=80)
+    @given(st.one_of(multigraphs(max_n=6, max_m=10, min_n=3),
+                     digraphs(max_n=6, max_m=14, min_n=3)), st.data())
+    @settings(max_examples=160)
     def test_multi_target_demands(self, g, data):
-        picks = data.draw(
+        # On a digraph the trails follow the arcs and the cut counts only
+        # the arcs that leave its side.
+        source, a, b = data.draw(
             st.lists(
                 st.sampled_from(g.vertices), min_size=3, max_size=3, unique=True
             )
         )
-        source, a, b = picks
         demands = {a: 1, b: 2}
         try:
             fan = menger_fan(g, source, demands)
         except FanInfeasible as exc:
-            assert brute.cut_size(g, exc.cut.side) == exc.cut.value
-            assert source in exc.cut.side
+            side = exc.cut.side
+            recount = brute.out_arcs if g.directed else brute.cut_size
+            assert recount(g, side) == exc.cut.value
+            assert source in side
+            assert exc.cut.value < sum(
+                k for v, k in demands.items() if v not in side)
             return
         assert sorted(tr.end for tr in fan) == sorted([a, b, b])
         edges = [e for tr in fan for e in tr.edges]
         assert len(edges) == len(set(edges))
         for tr in fan:
+            assert tr.start == source
             assert brute.trail_is_consistent(g, tr.edges, source, tr.end)

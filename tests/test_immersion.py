@@ -32,6 +32,7 @@ from cliquecuts import (
     outcome_from_json,
     outcome_to_json,
     pattern_edges,
+    random_eulerian_digraph,
     thick_star,
     thick_star_route,
     verify_certificate,
@@ -193,6 +194,41 @@ class TestExtractDirected:
         assert cert.phi == (1, 3)
         report = verify_certificate(d, cert)
         assert report.ok, report.problem
+
+    def test_return_walk_through_another_terminal(self):
+        # Three arcs per ordered pair.  The fan leaves 0 on its own arcs,
+        # and the smallest-id arc out of 1 that it leaves free runs to 2,
+        # so 1's first return walk, the trail for (1, 0), passes 2.
+        pairs = [(1, 2), (2, 0), (0, 1), (0, 2), (1, 0), (2, 1)]
+        d = MultiGraph.directed_graph(3, [p for p in pairs for _ in range(3)])
+        cert = extract_directed_clique_immersion(d, (0, 1, 2))
+        assert [d.edge(e).head for e in cert.trails[(1, 0)]] == [2, 0]
+        report = verify_certificate(d, cert)
+        assert report.ok, report.problem
+
+    def test_certificates_from_first_large_block(self):
+        # The blocks are the classes of "min cut >= threshold" in the
+        # underlying graph, recounted here by enumeration.
+        certified = 0
+        for seed in range(100):
+            rng = random.Random(seed)
+            n, t = rng.randint(3, 7), rng.choice([2, 3, 4])
+            d = random_eulerian_digraph(n, rng.randint(4 * n, 12 * n), rng)
+            outcome = decompose_directed(d, t)
+            if not isinstance(outcome, ImmersionCertificate):
+                continue
+            certified += 1
+            report = verify_certificate(d, outcome)
+            assert report.ok, (seed, report.problem)
+            und, threshold = d.underlying(), cut_threshold(t, True)
+
+            def block_of(v):
+                return [u for u in d.vertices if u == v or
+                        brute.min_cut_undirected(und, u, v) >= threshold]
+
+            first = min(v for v in d.vertices if len(block_of(v)) >= t)
+            assert outcome.phi == tuple(block_of(first)[:t]), seed
+        assert certified >= 50
 
     def test_directed_cycle_cut_too_small(self):
         d = directed_cycle(4)

@@ -1,7 +1,8 @@
 """The library stays stdlib-only: every module of src/cliquecuts imports
 nothing but the standard library and the package itself, every module
-but __init__.py uses each name it imports, and every private function,
-method or class is referenced somewhere in the package."""
+but __init__.py uses each name it imports or re-imports it only for the
+benchmark's tracer to wrap, and every private function, method or class
+is referenced somewhere in the package."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from test_trace_targets import TARGETS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cliquecuts"
 
@@ -26,25 +29,37 @@ def top_level_imports(source: str) -> list[str]:
     return found
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names bound by the module-level imports of `source` that the module
-    never reads.  ``__future__`` imports and statements marked
-    ``# noqa: F401`` are skipped."""
-    tree = ast.parse(source)
+def module_imports(source: str) -> list[tuple[str, bool]]:
+    """(name bound, statement marked ``# noqa: F401``) for every name that
+    a module-level import of `source` binds, ``__future__`` aside."""
     lines = source.splitlines()
     bound = []
-    for node in tree.body:
+    for node in ast.parse(source).body:
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if any("# noqa: F401" in line
-               for line in lines[node.lineno - 1:node.end_lineno]):
-            continue
-        bound.extend(alias.asname or alias.name.split(".")[0]
+        noqa = any("# noqa: F401" in line
+                   for line in lines[node.lineno - 1:node.end_lineno])
+        bound.extend((alias.asname or alias.name.split(".")[0], noqa)
                      for alias in node.names)
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return [name for name in bound if name not in read]
+    return bound
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module-level imports of `source` that the module
+    never reads.  Statements marked ``# noqa: F401`` are skipped."""
+    read = {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
+    return [name for name, noqa in module_imports(source)
+            if not noqa and name not in read]
+
+
+def unpinned_reimports(module: str, source: str, targets) -> list[str]:
+    """Names bound by the ``# noqa: F401`` imports of `source` that no
+    tracer target, a (module, attribute, span) triple, pins in `module`."""
+    pinned = {attr for owner, attr, _ in targets if owner == module}
+    return [name for name, noqa in module_imports(source)
+            if noqa and name not in pinned]
 
 
 def test_finds_imports_at_any_depth():
@@ -92,8 +107,31 @@ def test_finds_unused_imports():
     ids=lambda path: path.name,
 )
 def test_module_uses_its_imports(path):
-    unused = unused_imports(path.read_text(encoding="utf-8"))
+    source = path.read_text(encoding="utf-8")
+    unused = unused_imports(source)
     assert not unused, f"{path.name} imports {unused} without using them"
+    # A name kept bound only for perfbench/tracer.py must go once the
+    # tracer stops wrapping it.
+    unpinned = unpinned_reimports(f"cliquecuts.{path.stem}", source, TARGETS)
+    assert not unpinned, f"{path.name} re-imports {unpinned} for no tracer target"
+
+
+def test_finds_unpinned_reimports():
+    source = (
+        "from .flow import min_cut  # noqa: F401\n"
+        "from .graphs import (  # noqa: F401\n"
+        "    MultiGraph,\n"
+        "    split_off,\n"
+        ")\n"
+        "from .gomoryhu import build_gomory_hu\n"
+    )
+    targets = (
+        ("cliquecuts.transform", "split_off", "graphs.split_off"),
+        ("cliquecuts.immersion", "min_cut", "flow.min_cut"),
+        ("cliquecuts.transform", "build_gomory_hu", "gomoryhu.build"),
+    )
+    assert unpinned_reimports("cliquecuts.transform", source, targets) == [
+        "min_cut", "MultiGraph"]
 
 
 def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:

@@ -18,7 +18,6 @@ from cliquecuts import (
     PackInfeasible,
     UnsupportedSizeError,
     admissible_split,
-    arborescence_path,
     directed_edge_connectivity,
     pack_arborescences,
     reduce_to_terminals,
@@ -513,34 +512,3 @@ class TestPackArborescences:
             assert arb.root == root
             assert brute.is_arborescence(d, root, arb.edges)
 
-
-class TestArborescencePath:
-    def test_cycle_path(self):
-        d = directed_cycle(4)
-        (arb,) = pack_arborescences(d, [0])
-        assert arborescence_path(arb, 3) == [0, 1, 2]
-
-    def test_star_single_edge(self):
-        d = MultiGraph.directed_graph(3, [(0, 1), (0, 2), (1, 0), (2, 0)])
-        (arb,) = pack_arborescences(d, [0])
-        assert len(arborescence_path(arb, 1)) == 1
-        assert len(arborescence_path(arb, 2)) == 1
-
-    def test_depth_two(self):
-        d = MultiGraph.directed_graph(3, [(0, 1), (1, 2), (2, 0)])
-        (arb,) = pack_arborescences(d, [0])
-        path = arborescence_path(arb, 2)
-        assert path == [0, 1]
-        assert brute.trail_is_consistent(d, path, 0, 2)
-
-    def test_root_target_rejected(self):
-        (arb,) = pack_arborescences(directed_cycle(3), [0])
-        with pytest.raises(GraphError):
-            arborescence_path(arb, 0)
-
-    def test_paths_from_distinct_arborescences_disjoint(self):
-        d = bidirected_triangle()
-        packs = pack_arborescences(d, [0, 0])
-        p1 = arborescence_path(packs[0], 2)
-        p2 = arborescence_path(packs[1], 2)
-        assert not set(p1) & set(p2)
