@@ -385,7 +385,12 @@ def verify_decomposition(g: MultiGraph,
     laminarity with no cut listed twice, an exact recount of each cut
     below threshold, blocks partitioning the vertex set with fewer than t
     vertices each, and the blocks being exactly the classes left after all
-    the cuts."""
+    the cuts.
+
+    The laminarity pass leaves the cuts' inner sides as a forest, and one
+    walk per host edge, between the innermost sides of its two ends,
+    recounts every cut at once, so the recount costs the sum of the actual
+    cut sizes."""
 
     def fail(msg: str) -> VerificationReport:
         return VerificationReport(False, msg)
@@ -398,30 +403,35 @@ def verify_decomposition(g: MultiGraph,
     want = cut_threshold(t, g.directed)
     if dec.threshold != want:
         return fail(f"threshold {dec.threshold} should be {want}")
-    comps = [frozenset(c) for c in g.components()]
+    parts = g.components()
+    comps = [frozenset(c) for c in parts]
     comp_of = {v: i for i, c in enumerate(comps) for v in c}
     vset = g.vertex_set
-    ends = [(e.tail, e.head) for e in g.edges if not e.is_loop()]
     # Each cut's side that avoids its component's smallest vertex.
     inner: list[frozenset] = []
     for idx, cut in enumerate(dec.cuts):
         x, y = cut.side, cut.other
-        if not x or not y or x & y or not (x | y) <= vset:
+        both = x | y
+        if not x or not y or not x.isdisjoint(y) or not both <= vset:
             return fail(f"cut {idx} has a malformed bipartition")
         ci = comp_of[next(iter(x))]
-        if (x | y) != comps[ci]:
+        if both != comps[ci]:
             return fail(f"cut {idx} does not split a single component")
         a, b = cut.tree_edge
         if a not in x or b not in y:
             return fail(f"cut {idx} tree edge {cut.tree_edge} does not run "
                         f"from its side to its other side")
-        inner.append(y if min(comps[ci]) in x else x)
+        inner.append(y if parts[ci][0] in x else x)
     # Two cuts of one component are uncrossed exactly when their inner
     # sides are nested or disjoint, and inner sides of different
     # components are disjoint.  Taken largest first, a side that keeps the
     # family laminar lies inside the innermost earlier side of any one of
     # its vertices, so all its vertices must agree on that side.
     innermost: dict[int, int] = {}
+    # The innermost earlier side holding each side is its parent; None,
+    # at depth -1, is the root of every component.
+    parent: dict[int, int | None] = {}
+    depth: dict[int | None, int] = {None: -1}
     for i in sorted(range(len(inner)), key=lambda i: -len(inner[i])):
         side = inner[i]
         owners = {innermost.get(v) for v in side}
@@ -436,12 +446,23 @@ def verify_decomposition(g: MultiGraph,
         j = owners.pop()
         if j is not None and len(inner[j]) == len(side):
             return fail(f"cuts {j} and {i} are the same cut")
+        parent[i] = j
+        depth[i] = depth[j] + 1
         for v in side:
             innermost[v] = i
-    # Distinct laminar inner sides number fewer than 2n, so the recounts
-    # cost a bounded multiple of the graph, whatever the artifact's length.
+    # An edge crosses exactly the inner sides that hold one end but not
+    # the other: those passed stepping up from its ends' innermost sides,
+    # the deeper first, until the two meet.
+    crossing = [0] * len(inner)
+    for _, tail, head in g.edges:
+        a, b = innermost.get(tail), innermost.get(head)
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            crossing[a] += 1
+            a = parent[a]
     for idx, cut in enumerate(dec.cuts):
-        size = sum(1 for u, v in ends if (u in cut.side) != (v in cut.side))
+        size = crossing[idx]
         if size != cut.size:
             return fail(
                 f"cut {idx} recount mismatch: recorded {cut.size}, actual {size}"
@@ -586,6 +607,14 @@ def _int(x) -> int:
     return x
 
 
+def _ints(xs):
+    # One type test per list; the scan only names the first bad value.
+    if not set(map(type, xs)) <= {int}:
+        for x in xs:
+            _int(x)
+    return xs
+
+
 def _bool(x) -> bool:
     if type(x) is not bool:
         raise GraphError(f"malformed artifact document: {x!r} is not a boolean")
@@ -612,22 +641,22 @@ def outcome_from_json(obj) -> ImmersionCertificate | LaminarDecomposition:
                     raise GraphError(
                         f"malformed artifact document: two trails for {key}"
                     )
-                trails[key] = tuple(map(_int, row["edges"]))
+                trails[key] = tuple(_ints(row["edges"]))
             return ImmersionCertificate(
                 _int(obj["t"]), _bool(obj["directed"]),
-                tuple(map(_int, obj["phi"])), trails,
+                tuple(_ints(obj["phi"])), trails,
             )
         if kind == "decomposition":
             cuts = tuple(
                 SelectedCut(
                     _pair(c["tree_edge"]),
-                    frozenset(map(_int, c["side"])),
-                    frozenset(map(_int, c["other"])),
+                    frozenset(_ints(c["side"])),
+                    frozenset(_ints(c["other"])),
                     _int(c["size"]),
                 )
                 for c in obj["cuts"]
             )
-            blocks = tuple(tuple(map(_int, b)) for b in obj["blocks"])
+            blocks = tuple(tuple(_ints(b)) for b in obj["blocks"])
             return LaminarDecomposition(
                 _int(obj["t"]), _bool(obj["directed"]), _int(obj["threshold"]),
                 cuts, blocks,

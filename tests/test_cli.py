@@ -45,6 +45,8 @@ TRIANGLE2_T2 = {"kind": "certificate", "t": 2, "directed": True, "phi": [0, 1],
                 "trails": [{"u": 0, "v": 1, "edges": [0]},
                            {"u": 1, "v": 0, "edges": [1]}]}
 
+BRIDGE_T3 = outcome_to_json(decompose_undirected(bridge_of_triangles(), 3))
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -253,6 +255,49 @@ class TestStrictArtifacts:
         assert self._verify(workdir, host, doc) == 2
         assert "malformed artifact" in capsys.readouterr().err
 
+    @staticmethod
+    def _verify_dec(workdir, path=(), value=None):
+        doc = copy.deepcopy(BRIDGE_T3)
+        if path:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        art = workdir / "dec.json"
+        art.write_text(json.dumps(doc))
+        return run("verify-dec", "--in", workdir / "bridge.txt",
+                   "--artifact", art)
+
+    def test_exact_decomposition_verifies(self, workdir, capsys):
+        assert self._verify_dec(workdir) == 0
+
+    # Cut 2 of BRIDGE_T3 has side [0, 1, 2]; cut 0 has other [1, ..., 5].
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", None],
+                             ids=["true", "float", "string", "null"])
+    @pytest.mark.parametrize("path", [
+        ("cuts", 2, "side", 1), ("cuts", 0, "other", 3), ("blocks", 4, 0),
+    ], ids=["side", "other", "block"])
+    def test_coercible_vertex_lists_rejected(self, workdir, capsys, path, bad):
+        assert self._verify_dec(workdir, path, bad) == 2
+        err = capsys.readouterr().err
+        assert f"malformed artifact document: {bad!r} is not an integer" in err
+
+    def test_first_bad_vertex_named(self, workdir, capsys):
+        side = ("cuts", 2, "side")
+        assert self._verify_dec(workdir, side, [0, "1", 2.0]) == 2
+        err = capsys.readouterr().err
+        assert "'1' is not an integer" in err and "2.0" not in err
+
+    @pytest.mark.parametrize("path", [
+        ("cuts", 2, "size"), ("threshold",), ("cuts", 2, "tree_edge", 1),
+    ], ids=["size", "threshold", "tree-edge"])
+    def test_float_decomposition_fields_rejected(self, workdir, capsys, path):
+        doc = BRIDGE_T3
+        for key in path:
+            doc = doc[key]
+        assert self._verify_dec(workdir, path, float(doc)) == 2
+        assert "malformed artifact" in capsys.readouterr().err
+
 
 # (command, host text, valid artifact) for the fuzzing below.
 FUZZ_SEEDS = {
@@ -260,9 +305,7 @@ FUZZ_SEEDS = {
         "verify-cert", K5,
         outcome_to_json(decompose_undirected(complete_graph(5), 3))),
     "directed-certificate": ("verify-cert", BIDIRECTED_TRIANGLE, TRIANGLE2_T2),
-    "decomposition": (
-        "verify-dec", BRIDGE,
-        outcome_to_json(decompose_undirected(bridge_of_triangles(), 3))),
+    "decomposition": ("verify-dec", BRIDGE, BRIDGE_T3),
 }
 
 

@@ -33,6 +33,7 @@ from cliquecuts import (
     outcome_to_json,
     pattern_edges,
     random_eulerian_digraph,
+    random_multigraph,
     thick_star,
     thick_star_route,
     verify_certificate,
@@ -544,6 +545,61 @@ class TestVerifyDecomposition:
         elapsed = time.perf_counter() - start
         assert report.ok, report.problem
         assert elapsed < 2.0
+
+    def test_nested_cuts_recounted_in_one_pass(self):
+        # 999 nested unit cuts of a chain of 1000 two-vertex blocks, each
+        # block held by 50 parallel edges: a scan of the host per cut costs
+        # cuts x m = 999 x 50999 edge checks.
+        n, bundle = 2000, 50
+        pairs = [(v, v + 1) for v in range(0, n, 2)] * bundle
+        pairs += [(v, v + 1) for v in range(1, n - 1, 2)]
+        g = MultiGraph.undirected(n, pairs)
+        vs = list(range(n))
+        cuts = tuple(
+            SelectedCut((v, v + 1), frozenset(vs[:v + 1]),
+                        frozenset(vs[v + 1:]), 1)
+            for v in range(1, n - 1, 2)
+        )
+        blocks = tuple((v, v + 1) for v in range(0, n, 2))
+        dec = LaminarDecomposition(3, False, 4, cuts, blocks)
+        assert (g.edge_count, len(cuts)) == (50999, 999)
+        start = time.perf_counter()
+        report = verify_decomposition(g, dec)
+        elapsed = time.perf_counter() - start
+        assert report.ok, report.problem
+        assert elapsed < 1.5
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_recount_matches_reference(self, directed):
+        # Decompositions of seeded random hosts verify, and a size one off
+        # on any single cut fails on that cut with the size brute.cut_size
+        # counts, both directions on a digraph.
+        rng = random.Random(7)
+        recounted = 0
+        for _ in range(30):
+            n = rng.randint(6, 16)
+            if directed:
+                g = random_eulerian_digraph(n, 2 * n, rng)
+                dec = decompose_directed(g, 3)
+            else:
+                g = random_multigraph(n, 2 * n, rng)
+                dec = decompose_undirected(g, 4)
+            if not isinstance(dec, LaminarDecomposition):
+                continue
+            report = verify_decomposition(g, dec)
+            assert report.ok, report.problem
+            for idx, cut in enumerate(dec.cuts):
+                actual = brute.cut_size(g, cut.side)
+                for recorded in (cut.size - 1, cut.size + 1):
+                    cuts = list(dec.cuts)
+                    cuts[idx] = replace(cut, size=recorded)
+                    report = verify_decomposition(
+                        g, replace(dec, cuts=tuple(cuts)))
+                    assert report.problem == (
+                        f"cut {idx} recount mismatch: recorded {recorded}, "
+                        f"actual {actual}")
+                recounted += 1
+        assert recounted >= 100
 
     def test_repeated_cut_rejected(self):
         g = bridge_of_triangles()
