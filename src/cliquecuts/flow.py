@@ -79,6 +79,10 @@ class _Net:
         self._adj[ui].append(a)
         self._adj[vi].append(a + 1)
 
+    def reset(self) -> None:
+        """Undo every flow pushed so far, so the network serves a new pair."""
+        self._res[:] = self._init
+
     def _search(self, s: int, t: int | None) -> list[int | None]:
         """Breadth-first search of the residual network from s: the arc by
         which each vertex was first reached, -1 at s and None where

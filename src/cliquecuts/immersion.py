@@ -7,6 +7,13 @@ complete graph on t vertices: an injective vertex map plus pairwise
 edge-disjoint trails.  The directed pipeline does the same on Eulerian
 digraphs with threshold 2t(t-1) and the bidirected clique as pattern.
 
+The certificate's terminals are the t smallest members of the first block
+of at least t vertices, a block being a class of "min cut >= threshold".
+When the t lowest vertices of the host share a block, t-1 flows capped at
+the threshold show it and no cut tree is built; otherwise the cut tree
+gives the blocks.  Either way the certificate is routed through one Menger
+fan out of the first terminal, which checks its own feasibility.
+
 A returned decomposition never claims that no immersion exists; only the
 certificate direction is definite.
 """
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Mapping
 
-from .flow import CutResult, Trail, menger_fan, min_cut
+from .flow import Trail, _net_for, menger_fan
 from .gomoryhu import build_gomory_hu
 from .graphs import (
     GraphError,
@@ -25,8 +32,10 @@ from .graphs import (
     UnsupportedSizeError,
 )
 
-# reduce_to_terminals and pack_arborescences stay names of this module:
-# perfbench/tracer.py wraps both, as attributes of immersion, by name.
+# min_cut, reduce_to_terminals and pack_arborescences stay names of this
+# module: perfbench/tracer.py wraps all three, as attributes of immersion,
+# by name.
+from .flow import min_cut  # noqa: F401
 from .transform import pack_arborescences, reduce_to_terminals  # noqa: F401
 
 
@@ -48,17 +57,6 @@ def pattern_edges(t: int, directed: bool) -> list[tuple[int, int]]:
     """Edges of the pattern clique on vertices 0..t-1; ordered pairs (both
     directions) in the directed case."""
     return list(_pattern_pairs(t, directed))
-
-
-class TerminalCutTooSmall(GraphError):
-    def __init__(self, pair: tuple[int, int], cut: CutResult, required: int):
-        super().__init__(
-            f"cut of size {cut.value} separates terminals {pair[0]} and "
-            f"{pair[1]}; extraction needs {required}"
-        )
-        self.pair = pair
-        self.cut = cut
-        self.required = required
 
 
 @dataclass(frozen=True)
@@ -245,45 +243,63 @@ def extract_clique_immersion(g: MultiGraph, terminals) -> ImmersionCertificate:
 
 
 def extract_directed_clique_immersion(d: MultiGraph, terminals) -> ImmersionCertificate:
-    """Bidirected-clique immersion certificate on an Eulerian digraph.
+    """Bidirected-clique immersion certificate on an Eulerian digraph, with
+    phi(i) = terminals[i]: each thick-star edge rides a trail of the
+    directed fan out of terminals[0] away from it and a return walk toward
+    it, and each pattern edge of thick_star_route(t) is walked both ways.
 
-    Re-verifies that every two terminals are separated only by cuts of at
-    least 2t(t-1) edges (counting both directions), which on an Eulerian
-    host have t(t-1) arcs each way, so the directed fan out of
-    terminals[0] exists.  Each thick-star edge rides a fan trail away from
-    terminals[0] and a return walk toward it, and each pattern edge of
-    thick_star_route(t) is walked both ways.
+    Feasibility is checked by the fan itself; FanInfeasible carries the
+    violated cut, counted by the arcs leaving its side.  Once the fan
+    exists the return walks always do, since the host is Eulerian.  Two
+    terminals joined only by cuts of at least 2t(t-1) edges, both
+    directions counted, have t(t-1) arcs each way, so the fan exists.
     """
     if not d.directed:
         raise GraphError("extract_directed_clique_immersion applies to digraphs")
     if not d.is_eulerian():
         raise NotEulerianError("host digraph must be Eulerian")
-    terms = _check_terminals(d, terminals)
-    required = cut_threshold(len(terms), True)
-    und = d.underlying()
-    for a, b in combinations(sorted(terms), 2):
-        cut = min_cut(und, a, b)
-        if cut.value < required:
-            raise TerminalCutTooSmall((a, b), cut, required)
-    return _route_thick_star(d, terms)
+    return _route_thick_star(d, _check_terminals(d, terminals))
+
+
+def _lowest_block(g: MultiGraph, t: int, threshold: int) -> list[int] | None:
+    """The t lowest vertices of g when they share a block, else None.
+
+    Minimum cuts are ultrametric, lambda(u, w) >= min(lambda(u, v),
+    lambda(v, w)), so they share a block exactly when each is joined to
+    the lowest by a cut of at least threshold.  That block is then the
+    first, and they are its t smallest members.  The t-1 flows run on one
+    network, each stopped at threshold."""
+    low = list(g.vertices[:t])
+    if len(low) < t:
+        return None
+    net = _net_for(g)
+    for v in low[1:]:
+        net.reset()
+        if net.max_flow(low[0], v, limit=threshold) < threshold:
+            return None
+    return low
 
 
 def _pipeline(g: MultiGraph, t: int, directed: bool):
     threshold = cut_threshold(t, directed)
-    tree = build_gomory_hu(g.underlying() if directed else g)
-    selected = [e for e in tree.edges if e.weight < threshold]
-    blocks = tree.blocks_without(selected)
-    for block in blocks:
-        if len(block) >= t:
-            terminals = list(block[:t])
-            if directed:
-                return extract_directed_clique_immersion(g, terminals)
-            return extract_clique_immersion(g, terminals)
-    cuts = []
-    for e in selected:
-        side, other = tree.fundamental_partition(e)
-        cuts.append(SelectedCut((e.a, e.b), side, other, e.weight))
-    return LaminarDecomposition(t, directed, threshold, tuple(cuts), blocks)
+    und = g.underlying() if directed else g
+    terminals = _lowest_block(und, t, threshold)
+    if terminals is None:
+        tree = build_gomory_hu(und)
+        selected = [e for e in tree.edges if e.weight < threshold]
+        blocks = tree.blocks_without(selected)
+        large = [b for b in blocks if len(b) >= t]
+        if not large:
+            cuts = []
+            for e in selected:
+                side, other = tree.fundamental_partition(e)
+                cuts.append(SelectedCut((e.a, e.b), side, other, e.weight))
+            return LaminarDecomposition(t, directed, threshold, tuple(cuts),
+                                        blocks)
+        terminals = list(large[0][:t])
+    if directed:
+        return extract_directed_clique_immersion(g, terminals)
+    return extract_clique_immersion(g, terminals)
 
 
 def decompose_undirected(g: MultiGraph, t: int):

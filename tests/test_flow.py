@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from cliquecuts import (
     directed_edge_connectivity,
     menger_fan,
     min_cut,
+    random_multigraph,
     thick_star,
 )
 from cliquecuts.flow import _net_for
@@ -267,6 +269,33 @@ class TestLimitedMaxFlow:
         assert_feasible_flow(net, 0, 2, 3)
         assert net.max_flow(0, 2) == 2
         assert_feasible_flow(net, 0, 2, 5)
+
+
+class TestReset:
+    """One network, reset between flows, answers every pair as a fresh
+    network would: the same value and the same cut side."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reused_network_matches_fresh(self, seed):
+        g = random_multigraph(12, 40, Random(seed))
+        net = _net_for(g)
+        for u, v in permutations(g.vertices, 2):
+            net.reset()
+            fresh = _net_for(g)
+            assert net.max_flow(u, v) == fresh.max_flow(u, v)
+            assert net.cut_side(u) == fresh.cut_side(u)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reused_network_matches_fresh_with_limit(self, seed):
+        g = random_multigraph(12, 40, Random(seed))
+        net = _net_for(g)
+        for u, v in combinations(g.vertices, 2):
+            for k in (1, 3):
+                net.reset()
+                fresh = _net_for(g)
+                assert (net.max_flow(u, v, limit=k)
+                        == fresh.max_flow(u, v, limit=k))
+                assert net.cut_side(u) == fresh.cut_side(u)
 
 
 class TestMengerFan:

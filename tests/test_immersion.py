@@ -7,6 +7,7 @@ import random
 import re
 import time
 import tracemalloc
+from bisect import bisect_left, insort
 from dataclasses import replace
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
+from cliquecuts import immersion
 from cliquecuts import (
     FanInfeasible,
     GraphError,
@@ -22,8 +24,8 @@ from cliquecuts import (
     MultiGraph,
     NotEulerianError,
     SelectedCut,
-    TerminalCutTooSmall,
     brute_force_immersion,
+    build_gomory_hu,
     cut_threshold,
     decompose_directed,
     decompose_undirected,
@@ -168,6 +170,30 @@ class TestExtractUndirected:
             extract_clique_immersion(g, (0, 1, 2))
         assert info.value.cut.value < info.value.required
 
+    def test_certificates_from_first_large_block(self):
+        # The blocks are the classes of "min cut >= threshold", recounted
+        # here by enumeration.
+        certified = 0
+        for seed in range(100):
+            rng = random.Random(seed)
+            n, t = rng.randint(3, 7), rng.choice([2, 3, 4])
+            g = random_multigraph(n, rng.randint(2 * n, 6 * n), rng)
+            outcome = decompose_undirected(g, t)
+            if not isinstance(outcome, ImmersionCertificate):
+                continue
+            certified += 1
+            report = verify_certificate(g, outcome)
+            assert report.ok, (seed, report.problem)
+            threshold = cut_threshold(t, False)
+
+            def block_of(v):
+                return [u for u in g.vertices if u == v or
+                        brute.min_cut_undirected(g, u, v) >= threshold]
+
+            first = min(v for v in g.vertices if len(block_of(v)) >= t)
+            assert outcome.phi == tuple(block_of(first)[:t]), seed
+        assert certified >= 50
+
     def test_terminal_validation(self):
         g = complete_graph(4)
         with pytest.raises(GraphError):
@@ -231,17 +257,81 @@ class TestExtractDirected:
             assert outcome.phi == tuple(block_of(first)[:t]), seed
         assert certified >= 50
 
-    def test_directed_cycle_cut_too_small(self):
+    def test_directed_cycle_certifies_below_threshold(self):
+        # The two-way cut of 2 is below 2t(t-1) = 4, but the fan needs one
+        # arc out of 0 to 2 and the return walk closes the cycle, so the
+        # fan alone decides and the certificate exists.
         d = directed_cycle(4)
-        with pytest.raises(TerminalCutTooSmall) as info:
+        cert = extract_directed_clique_immersion(d, (0, 2))
+        report = verify_certificate(d, cert)
+        assert report.ok, report.problem
+        assert brute_force_immersion(2, d) is not None
+
+    def test_fan_infeasible_carries_cut(self):
+        d = MultiGraph.directed_graph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+        with pytest.raises(FanInfeasible) as info:
             extract_directed_clique_immersion(d, (0, 2))
-        assert info.value.cut.value == 2
-        assert info.value.required == 4
+        assert info.value.cut.value == 0
+        assert info.value.required == 1
 
     def test_rejects_unbalanced(self):
         d = MultiGraph.directed_graph(2, [(0, 1)])
         with pytest.raises(NotEulerianError):
             extract_directed_clique_immersion(d, (0, 1))
+
+
+class TestBlockCheck:
+    """When the t lowest vertices share a block the pipeline certifies
+    them without building the cut tree; otherwise it builds the tree."""
+
+    @pytest.fixture
+    def no_tree(self, monkeypatch):
+        def broken(g):
+            raise AssertionError("cut tree built")
+        monkeypatch.setattr(immersion, "build_gomory_hu", broken)
+
+    @pytest.fixture
+    def trees(self, monkeypatch):
+        built = []
+
+        def counting(g):
+            built.append(g)
+            return build_gomory_hu(g)
+        monkeypatch.setattr(immersion, "build_gomory_hu", counting)
+        return built
+
+    @pytest.mark.usefixtures("no_tree")
+    @pytest.mark.parametrize("host, t, decompose", [
+        (complete_graph(5), 3, decompose_undirected),
+        # Two-way min cut 12, the directed threshold at t = 3.
+        (bidirected_complete(7), 3, decompose_directed),
+    ], ids=["undirected-K5", "bidirected-K7"])
+    def test_shared_block_skips_tree(self, host, t, decompose):
+        cert = decompose(host, t)
+        assert isinstance(cert, ImmersionCertificate)
+        assert cert.phi == tuple(range(t))
+        report = verify_certificate(host, cert)
+        assert report.ok, report.problem
+
+    def test_short_cut_builds_tree(self, trees):
+        # Two-way min cut 6, below 12: the tree decides.
+        d = bidirected_complete(4)
+        dec = decompose_directed(d, 3)
+        assert len(trees) == 1
+        assert isinstance(dec, LaminarDecomposition)
+        assert verify_decomposition(d, dec).ok
+
+    def test_pendant_lowest_vertex_builds_tree(self, trees):
+        # Vertex 0 hangs off a K5 on 1..5, so the first large block starts
+        # at 1.
+        pairs = [(0, 1)] + [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
+        g = MultiGraph.undirected(6, pairs)
+        cert = decompose_undirected(g, 3)
+        assert len(trees) == 1
+        assert isinstance(cert, ImmersionCertificate)
+        assert cert.phi == (1, 2, 3)
+        report = verify_certificate(g, cert)
+        assert report.ok, report.problem
 
 
 class TestDecomposeUndirected:
@@ -740,13 +830,19 @@ def swapped_circulant(n, k, rng):
     a balance-preserving swap, a->b and c->d becoming a->d and c->b when
     both new arcs are absent and the four ends are distinct."""
     offsets = rng.sample(range(1, n), k)
-    arcs = {(v, (v + s) % n) for v in range(n) for s in offsets}
+    present = {(v, (v + s) % n) for v in range(n) for s in offsets}
+    # The arcs stay sorted as they change, so no attempt sorts them anew.
+    arcs = sorted(present)
     for _ in range(4 * n):
-        (a, b), (c, d) = rng.sample(sorted(arcs), 2)
-        if len({a, b, c, d}) == 4 and not {(a, d), (c, b)} & arcs:
-            arcs -= {(a, b), (c, d)}
-            arcs |= {(a, d), (c, b)}
-    return MultiGraph.directed_graph(n, sorted(arcs))
+        (a, b), (c, d) = rng.sample(arcs, 2)
+        if len({a, b, c, d}) == 4 and not {(a, d), (c, b)} & present:
+            for arc in ((a, b), (c, d)):
+                del arcs[bisect_left(arcs, arc)]
+            for arc in ((a, d), (c, b)):
+                insort(arcs, arc)
+            present -= {(a, b), (c, d)}
+            present |= {(a, d), (c, b)}
+    return MultiGraph.directed_graph(n, arcs)
 
 
 class TestOutdegreeClaim:
@@ -755,7 +851,8 @@ class TestOutdegreeClaim:
     counterexample or a bug."""
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("t, n", [(4, 13), (4, 19), (5, 21), (5, 26)])
+    @pytest.mark.parametrize("t, n", [(4, 13), (4, 19), (5, 21), (5, 26),
+                                      (6, 37), (7, 49), (8, 60), (10, 97)])
     def test_swapped_circulant_certifies(self, t, n, seed):
         k = t * (t - 1)
         d = swapped_circulant(n, k, random.Random(seed))
