@@ -42,7 +42,7 @@ def random_eulerian_digraph(n: int, m: int, rng: random.Random) -> MultiGraph:
         )
     d = MultiGraph.directed_graph(n, pairs)
     if not d.is_eulerian():
-        raise GraphError("internal: generated digraph is unbalanced")
+        raise RuntimeError("generated digraph is unbalanced")
     return d
 
 
@@ -75,7 +75,7 @@ def simple_eulerian_min_outdeg(n: int, floor: int, rng: random.Random) -> MultiG
         if accepted == floor:
             d = MultiGraph.directed_graph(n, sorted(arcs))
             if not d.is_eulerian():
-                raise GraphError("internal: generated digraph is unbalanced")
+                raise RuntimeError("generated digraph is unbalanced")
             return d
     raise GraphError(
         f"could not pack {floor} arc-disjoint Hamiltonian cycles on {n} "

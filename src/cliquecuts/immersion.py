@@ -147,7 +147,7 @@ def _trim_to_path(host: MultiGraph, edges: Iterable[int], start: int,
         here = seq[-1]
         if host.directed:
             if e.tail != here:
-                raise GraphError("internal: trail breaks direction")
+                raise RuntimeError("trail breaks direction")
             nxt = e.head
         else:
             nxt = e.other_end(here)
@@ -162,7 +162,7 @@ def _trim_to_path(host: MultiGraph, edges: Iterable[int], start: int,
             del seq[p + 1:]
             del kept[p:]
     if seq[-1] != end:
-        raise GraphError("internal: trail endpoint mismatch")
+        raise RuntimeError("trail endpoint mismatch")
     return kept
 
 

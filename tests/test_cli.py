@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import brute
 import cliquecuts.cli
+import cliquecuts.immersion
 from cliquecuts import (
     MultiGraph,
     build_gomory_hu,
@@ -470,6 +472,21 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err == (
             "internal error: RuntimeError: cut tree lost an edge\n")
+
+    def test_broken_fan_is_internal_error(self, workdir, capsys, monkeypatch):
+        # Trails that stop one edge short are the program's fault, not the
+        # input's: the path trimming check reports them with exit 3.
+        fan = cliquecuts.immersion.menger_fan
+
+        def short_fan(g, source, demands):
+            return tuple(dataclasses.replace(tr, edges=tr.edges[:-1])
+                         for tr in fan(g, source, demands))
+        monkeypatch.setattr(cliquecuts.immersion, "menger_fan", short_fan)
+        code = run("decompose", "--t", 3, "--mode", "undirected",
+                   "--in", workdir / "k5.txt")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "internal error: RuntimeError: trail endpoint mismatch\n")
 
     def test_directed_t15_certifies(self, workdir, capsys):
         # t = 15 passes the cut test only with 15 parallel arcs per ordered

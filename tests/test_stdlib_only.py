@@ -2,7 +2,8 @@
 nothing but the standard library and the package itself, every module
 but __init__.py uses each name it imports or re-imports it only for the
 benchmark's tracer to wrap, and every private function, method or class
-is referenced somewhere in the package."""
+is referenced somewhere in the package.  No module reaches the private
+attributes of another object."""
 
 from __future__ import annotations
 
@@ -174,3 +175,36 @@ def test_private_defs_are_referenced():
                for path in sorted(PACKAGE.glob("*.py"))}
     unused = unreferenced_private_defs(sources)
     assert not unused, f"private definitions never referenced: {unused}"
+
+
+def private_reaches(source: str) -> list[str]:
+    """``line: attribute`` of every single-underscore attribute that
+    `source` reaches through anything but ``self`` or ``cls``: another
+    object's private state."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id in ("self", "cls"))):
+            found.append((node.lineno, node.attr))
+    return [f"{line}: {attr}" for line, attr in sorted(found)]
+
+
+def test_finds_private_reaches():
+    source = (
+        "class Guard:\n"
+        "    def push(self, res):\n"
+        "        self._net._res = res\n"
+        "        return self._net.max_flow(cls._x, res.__len__())\n"
+        "net = flow._Net()\n"
+    )
+    assert private_reaches(source) == ["3: _res", "5: _Net"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
+)
+def test_no_private_reach_across_objects(path):
+    reaches = private_reaches(path.read_text(encoding="utf-8"))
+    assert not reaches, f"{path.name} reaches private attributes {reaches}"

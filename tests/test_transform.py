@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -23,7 +22,6 @@ from cliquecuts import (
     reduce_to_terminals,
     split_off,
 )
-from cliquecuts.transform import _SplitGuard
 from strategies import eulerian_digraphs
 
 
@@ -155,6 +153,25 @@ class TestAdmissibleSplit:
         assert admissible_split(d, 0, guard) == reference_split(
             d, 0, guard, baseline)
 
+    @pytest.mark.parametrize("pairs, terminals, v, expected", [
+        # 1->0 runs direct and by 1->2->0; splitting 1->2, 2->0 keeps both.
+        ([(0, 1), (0, 1), (1, 2), (2, 0), (1, 0)], [0, 1], 2, (2, 3)),
+        # The only 0->1 path runs through v and becomes the new arc.
+        ([(0, 2), (2, 1), (1, 0)], [0, 1], 2, (0, 1)),
+        # The 0->2->1 path loses 0->2, and 0->3->2 stands in for it.
+        ([(0, 2), (2, 3), (0, 3), (0, 3), (3, 2), (3, 2), (2, 1), (1, 0),
+          (3, 0), (2, 0)], [0, 1], 2, (0, 1)),
+        # Splitting 1->0, 0->1 makes a loop and cuts 1 from 2.
+        ([(1, 0), (0, 1), (2, 0), (0, 2)], [1, 2], 0, (0, 3)),
+    ], ids=["short-cut-round-v", "path-through-v", "detour-round-v",
+            "digon-loop"])
+    def test_hand_built_host(self, pairs, terminals, v, expected):
+        d = MultiGraph.directed_graph(max(max(p) for p in pairs) + 1, pairs)
+        guard = list(permutations(terminals, 2))
+        baseline = {p: directed_edge_connectivity(d, *p) for p in guard}
+        assert reference_split(d, v, guard, baseline) == expected
+        assert admissible_split(d, v, guard) == expected
+
     @given(eulerian_digraphs(max_n=6, max_cycles=4, max_copies=3), st.data())
     @settings(max_examples=80, deadline=None)
     def test_matches_reference(self, d, data):
@@ -184,140 +201,6 @@ class TestAdmissibleSplit:
             admissible_split(d, 2, [(0, 1)])
 
 
-def make_guard(d, terminals):
-    arcs = [e.ends() for e in d.edges if not e.is_loop()]
-    return _SplitGuard(d.vertices, arcs, combinations(terminals, 2))
-
-
-def guard_split(guard, d, v):
-    """guard.first_split at v, with the arcs of d, the digraph it holds."""
-    return guard.first_split(v, [(e.id, e.tail) for e in d.in_edges(v)],
-                             [(e.id, e.head) for e in d.out_edges(v)])
-
-
-def bundle_flow(guard, pair, x, y):
-    """Units that the guard's flow for `pair` sends over the bundle x->y."""
-    res = guard._flows[guard._pairs.index(pair)]
-    return res[guard._slots[(x, y)] + 1]
-
-
-def assert_flows_maximum(guard, d):
-    """Every pair's residual list holds a maximum a->b flow of d: each
-    bundle within its arc count in d, conservation off a and b, and the
-    value lambda(a, b)."""
-    caps = Counter(e.ends() for e in d.edges if not e.is_loop())
-    assert set(caps) <= set(guard._slots)
-    for (a, b), res in zip(guard._pairs, guard._flows):
-        inflow = Counter()
-        for (x, y), slot in guard._slots.items():
-            flow = res[slot + 1]
-            assert flow >= 0 and res[slot] >= 0
-            assert res[slot] + flow == caps[(x, y)]
-            inflow[y] += flow
-            inflow[x] -= flow
-        value = directed_edge_connectivity(d, a, b)
-        for x in d.vertices:
-            assert inflow[x] == {a: -value, b: value}.get(x, 0)
-
-
-@pytest.fixture
-def pushes(monkeypatch):
-    """(source, sink, limit, units pushed) of every flow push of a guard."""
-    log = []
-    push = _SplitGuard._push
-
-    def spy(self, res, s, t, limit):
-        got = push(self, res, s, t, limit)
-        log.append((s, t, limit, got))
-        return got
-
-    monkeypatch.setattr(_SplitGuard, "_push", spy)
-    return log
-
-
-class TestSplitGuardBranches:
-    """One hand-built digraph per way the guard settles a trial split, each
-    checked against reference_split and against fresh flows afterwards."""
-
-    def settle(self, d, terminals, v, pushes):
-        guard = make_guard(d, terminals)
-        assert_flows_maximum(guard, d)
-        pushes.clear()
-        pair = guard_split(guard, d, v)
-        guard_pairs = list(permutations(terminals, 2))
-        baseline = {p: directed_edge_connectivity(d, *p) for p in guard_pairs}
-        assert pair == reference_split(d, v, guard_pairs, baseline)
-        assert_flows_maximum(guard, split_digraph(d, pair))
-        return guard, pair
-
-    def test_slack_on_both_bundles(self, pushes):
-        # Both units 0->1 run over the 0->1 bundle; 1->2->0 carries none.
-        d = MultiGraph.directed_graph(3, [(0, 1), (0, 1), (1, 2), (2, 0)])
-        guard = make_guard(d, [0, 1])
-        assert bundle_flow(guard, (0, 1), 1, 2) == 0
-        assert bundle_flow(guard, (0, 1), 2, 0) == 0
-        _, pair = self.settle(d, [0, 1], 2, pushes)
-        assert pair == (2, 3)
-        assert pushes == []
-
-    def test_carried_unit_moves_onto_new_arc(self, pushes):
-        d = MultiGraph.directed_graph(3, [(0, 2), (2, 1), (1, 0)])
-        assert bundle_flow(make_guard(d, [0, 1]), (0, 1), 0, 2) == 1
-        guard, pair = self.settle(d, [0, 1], 2, pushes)
-        assert pair == (0, 1)
-        assert pushes == []
-        assert bundle_flow(guard, (0, 1), 0, 1) == 1
-
-    def test_saturated_bundle_rerouted_one_unit(self, pushes):
-        # The flow runs 0->2->1; splitting 0->2, 2->3 takes its unit off
-        # the saturated 0->2, and it goes round by 0->3->2 instead.  Every
-        # arc of that path has two free units, so a push of 1 must stop at
-        # one unit, not at the path's bottleneck.
-        d = MultiGraph.directed_graph(4, [
-            (0, 2), (2, 3), (0, 3), (0, 3), (3, 2), (3, 2), (2, 1), (1, 0),
-            (3, 0), (2, 0)])
-        guard = make_guard(d, [0, 1])
-        assert bundle_flow(guard, (0, 1), 0, 2) == 1
-        assert bundle_flow(guard, (0, 1), 2, 3) == 0
-        guard, pair = self.settle(d, [0, 1], 2, pushes)
-        assert pair == (0, 1)
-        assert pushes == [(0, 2, 1, 1)]
-        assert bundle_flow(guard, (0, 1), 0, 3) == 1
-
-    def test_unroutable_unit_rejects_split(self, pushes):
-        # Splitting 1->0, 0->1 makes a loop: the unit off the saturated
-        # 1->0 has no way round, lambda(1, 2) would drop, so the next pair
-        # is taken, whose unit moves onto 1->2.
-        d = MultiGraph.directed_graph(3, [(1, 0), (0, 1), (2, 0), (0, 2)])
-        _, pair = self.settle(d, [1, 2], 0, pushes)
-        assert pair == (0, 3)
-        assert pushes == [(1, 0, 1, 0)]
-
-    @given(eulerian_digraphs(max_n=6, max_cycles=4, max_copies=3), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_every_trial_decided_exactly(self, d, data):
-        # A fresh guard accepts a trial split exactly when it keeps
-        # lambda.  A unit that cannot be rerouted therefore always means a
-        # drop: cancelling it and augmenting again could never succeed.
-        movable = [v for v in d.vertices if d.in_edges(v)]
-        if not movable or len(d.vertices) < 3:
-            return
-        v = data.draw(st.sampled_from(movable))
-        a, b = data.draw(st.lists(
-            st.sampled_from([u for u in d.vertices if u != v]),
-            min_size=2, max_size=2, unique=True))
-        value = directed_edge_connectivity(d, a, b)
-        for ei in d.in_edges(v):
-            for eo in d.out_edges(v):
-                trial = split_off(d, ei.id, eo.id)
-                keeps = directed_edge_connectivity(trial, a, b) == value
-                guard = make_guard(d, [a, b])
-                assert guard.split(ei.tail, v, eo.head) == keeps
-                if keeps:
-                    assert_flows_maximum(
-                        guard, split_digraph(d, (ei.id, eo.id)))
-
-
 class TestReduceToTerminals:
     def test_directed_triangle_to_digon(self):
         d = directed_cycle(3)
@@ -344,6 +227,15 @@ class TestReduceToTerminals:
             (e.tail, e.head) for e in d.edges
         )
         assert red.provenance == {e.id: (e.id,) for e in d.edges}
+
+    def test_split_into_loop_keeps_its_id_and_no_provenance(self):
+        # Vertex 2 hangs off 0 by a digon; its only split is a loop at 0,
+        # which takes id 4 and leaves the two original arcs.
+        d = MultiGraph.directed_graph(3, [(0, 2), (2, 0), (0, 1), (1, 0)])
+        red = reduce_to_terminals(d, [0, 1])
+        assert edge_table(red.digraph) == [(2, 0, 1), (3, 1, 0)]
+        assert red.digraph.next_edge_id == 5
+        assert red.provenance == {2: (2,), 3: (3,)}
 
     def test_drops_preexisting_loops(self):
         d = MultiGraph.directed_graph(2, [(0, 1), (1, 0), (0, 0)])
@@ -411,8 +303,9 @@ class TestReduceToTerminals:
     @given(eulerian_digraphs(max_n=6, max_cycles=4, max_copies=2), st.data())
     @settings(max_examples=40, deadline=None)
     def test_connectivity_symmetric_along_splits(self, d, data):
-        # The guard keeps one flow per unordered pair, which is exact only
-        # while lambda(a, b) == lambda(b, a) on every digraph it meets.
+        # admissible_split solves one direction per unordered pair, which is
+        # exact only while lambda(a, b) == lambda(b, a) on every digraph it
+        # meets.
         terms = data.draw(
             st.lists(
                 st.sampled_from(d.vertices), min_size=2, max_size=3, unique=True
