@@ -130,25 +130,26 @@ def _cmd_gomory_hu(args) -> int:
     return 0
 
 
-# Each family's generator and its second parameter besides --n.
+# Each family's generator, its second parameter besides --n, and the most
+# edges it makes (a random Eulerian digraph's last cycle may overshoot).
 _FAMILIES = {
-    "random-multigraph": (random_multigraph, "m"),
-    "random-eulerian-digraph": (random_eulerian_digraph, "m"),
-    "simple-eulerian-min-outdeg": (simple_eulerian_min_outdeg, "floor"),
+    "random-multigraph": (random_multigraph, "m", lambda n, m: m),
+    "random-eulerian-digraph": (random_eulerian_digraph, "m",
+                                lambda n, m: m + n - 1 if m else 0),
+    "simple-eulerian-min-outdeg": (simple_eulerian_min_outdeg, "floor",
+                                   lambda n, floor: n * floor),
 }
 
 
 def _cmd_gen(args) -> int:
-    make, second = _FAMILIES[args.family]
+    make, second, most_edges = _FAMILIES[args.family]
     k = getattr(args, second)
     if args.n is None or k is None:
         raise GraphError(f"{args.family} needs --n and --{second}")
     if min(args.n, k) < 0:
         raise GraphError(f"--n and --{second} must be non-negative")
-    # Checked before anything is generated: --n vertices, and --m edges or
-    # --n times --floor arcs.
-    edges = k if second == "m" else args.n * k
-    if max(args.n, edges) > SIZE_LIMIT:
+    # Checked before anything is generated.
+    if max(args.n, most_edges(args.n, k)) > SIZE_LIMIT:
         raise UnsupportedSizeError(f"more than {SIZE_LIMIT} vertices or edges")
     _write(args.out, serialize_graph(make(args.n, k, random.Random(args.seed))))
     return 0

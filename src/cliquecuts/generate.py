@@ -25,8 +25,8 @@ def random_multigraph(n: int, m: int, rng: random.Random) -> MultiGraph:
 
 def random_eulerian_digraph(n: int, m: int, rng: random.Random) -> MultiGraph:
     """Superposes random directed cycles (length >= 2, distinct vertices)
-    until at least m arcs exist; the last cycle may overshoot.  Balance
-    holds by construction and is re-checked before returning."""
+    until at least m arcs exist; the last cycle may overshoot by up to n-1
+    arcs.  Balance holds by construction and is re-checked."""
     if n < 0:
         raise GraphError("vertex count must be non-negative")
     if m < 0:

@@ -130,9 +130,9 @@ class GomoryHuTree:
 def _component_tree(g: MultiGraph, comp: tuple[int, ...]) -> list[TreeEdge]:
     if len(comp) == 1:
         return []
-    sub = g.induced_subgraph(comp)
     # Tree of supernodes: repeatedly split a multi-vertex node along a min cut
-    # computed in the graph with every other subtree contracted.
+    # computed in the host with every other subtree contracted.  No flow
+    # leaves comp, so the other components need not be cut away.
     nodes: dict[int, frozenset] = {0: frozenset(comp)}
     nbrs: dict[int, dict[int, int]] = {0: {}}
     next_id = 1
@@ -157,7 +157,7 @@ def _component_tree(g: MultiGraph, comp: tuple[int, ...]) -> list[TreeEdge]:
                         seen.add(y)
                         stack.append(y)
             groups.append((b, frozenset(union)))
-        gc = sub
+        gc = g
         for _, union in groups:
             gc = gc.contract(union)
         cut = min_cut(gc, u, v)

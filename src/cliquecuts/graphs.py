@@ -1,9 +1,9 @@
 """Multigraph and multidigraph values with stable edge identity.
 
-Graphs are immutable: every rewrite (split_off, contract, induced_subgraph)
-returns a new graph.  Edge ids are allocated append-only and never
-reused across rewrites of the same graph, so provenance records and
-certificates can name edges that no longer exist in the current graph.
+Graphs are immutable: every rewrite (split_off, contract) returns a new
+graph.  Edge ids are allocated append-only and never reused across
+rewrites of the same graph, so provenance records and certificates can
+name edges that no longer exist in the current graph.
 """
 from __future__ import annotations
 
@@ -197,14 +197,6 @@ class MultiGraph:
                  for e in self._edges.values()]
         vertices = (self._vertex_set - bset) | {rep}
         return MultiGraph(vertices, edges, self.directed, self._next_id)
-
-    def induced_subgraph(self, vertices: Iterable[int]) -> "MultiGraph":
-        keep = set(vertices)
-        if not keep <= self._vertex_set:
-            raise GraphError("induced_subgraph needs existing vertices")
-        edges = [e for e in self._edges.values()
-                 if e.tail in keep and e.head in keep]
-        return MultiGraph(keep, edges, self.directed, self._next_id)
 
     def underlying(self) -> "MultiGraph":
         """Forget directions; edge ids are preserved."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .flow import Trail, _net_for, menger_fan
 from .gomoryhu import build_gomory_hu
@@ -93,45 +93,40 @@ class VerificationReport:
     problem: str | None = None
 
 
-@dataclass(frozen=True)
-class ThickStar:
-    """A star whose every spoke is a bundle of t-1 parallel edges.  Bundle
-    label (j, i) names the copy in leaf j's bundle reserved for routing to
-    pattern vertex i (1-based positions, leaf positions run 2..t)."""
-
-    t: int
-    graph: MultiGraph
-    labels: Mapping[tuple[int, int], int]
-
-
-def thick_star(t: int) -> ThickStar:
-    """Center vertex 0, leaves 1..t-1, t-1 parallel edges per spoke."""
+def thick_star(t: int) -> MultiGraph:
+    """Centre vertex 0, leaves 1..t-1, t-1 parallel edges per spoke: leaf
+    l's copy k is edge (l-1)(t-1)+k."""
     if t < 2:
         raise GraphError("t must be at least 2")
-    pairs = []
-    labels: dict[tuple[int, int], int] = {}
-    for j in range(2, t + 1):
-        for i in range(1, t + 1):
-            if i == j:
-                continue
-            labels[(j, i)] = len(pairs)
-            pairs.append((0, j - 1))
-    return ThickStar(t, MultiGraph.undirected(t, pairs), labels)
+    return MultiGraph.undirected(
+        t, [(0, leaf) for leaf in range(1, t) for _ in range(t - 1)])
+
+
+def _star_walks(t: int, directed: bool, away, toward
+                ) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The thick star's one routing rule.  Leaf l's t-1 copies serve 0..t-1
+    without l, in order, and away[l][k] and toward[l][k] are copy k's edges
+    away from and toward centre 0, which has no copies.  Pattern edge (p, q)
+    goes toward the centre on p's copy for q, then away on q's copy for p."""
+    walks = {}
+    for p, q in _pattern_pairs(t, directed):
+        walk = toward[p][q - (q > p)] if p else ()
+        if q:
+            walk += away[q][p - (p > q)]
+        walks[(p, q)] = walk
+    return walks
 
 
 def thick_star_route(t: int) -> ImmersionCertificate:
-    """The canonical clique immersion inside thick_star(t): spoke copies
-    labelled for the far endpoint meet at the center, so pattern edge (p, q)
-    with p >= 1 rides leaf p+1's copy for q+1 and leaf q+1's copy for p+1."""
-    star = thick_star(t)
-    trails: dict[tuple[int, int], tuple[int, ...]] = {}
-    for q in range(1, t):
-        trails[(0, q)] = (star.labels[(q + 1, 1)],)
-    for p in range(1, t):
-        for q in range(p + 1, t):
-            trails[(p, q)] = (star.labels[(p + 1, q + 1)],
-                              star.labels[(q + 1, p + 1)])
-    return ImmersionCertificate(t, False, tuple(range(t)), trails)
+    """The canonical clique immersion inside thick_star(t), where each star
+    edge is its own copy both ways: pattern edge (p, q) with p >= 1 rides
+    leaf p's copy for q and leaf q's copy for p."""
+    if t < 2:
+        raise GraphError("t must be at least 2")
+    copies = {leaf: [((leaf - 1) * (t - 1) + k,) for k in range(t - 1)]
+              for leaf in range(1, t)}
+    return ImmersionCertificate(t, False, tuple(range(t)),
+                                _star_walks(t, False, copies, copies))
 
 
 def _trim_to_path(host: MultiGraph, edges: Iterable[int], start: int,
@@ -179,64 +174,57 @@ def _check_terminals(g: MultiGraph, terminals) -> list[int]:
 
 def _return_walks(d: MultiGraph, terms: list[int],
                   fan: tuple[Trail, ...]) -> dict[int, list[tuple[int, ...]]]:
-    """t-1 walks from each terminal but terms[0] back to it, each following
-    the smallest-id arc that neither the fan nor an earlier walk used.
-    Without the fan's arcs an Eulerian host is unbalanced only at the
-    terminals, and only terms[0] takes in more than it sends out, so no
-    walk can stop anywhere else."""
+    """t-1 walks from each leaf terms[l], l >= 1, back to terms[0], keyed
+    by l, each following the smallest-id arc that neither the fan nor an
+    earlier walk used.  Without the fan's arcs an Eulerian host is
+    unbalanced only at the terminals, and only terms[0] takes in more than
+    it sends out, so no walk can stop anywhere else."""
     used = {eid for tr in fan for eid in tr.edges}
     outs: dict[int, list[tuple[int, int]]] = {v: [] for v in d.vertices}
     for e in d.edges:
         if e.id not in used and not e.is_loop():
             outs[e.tail].append((e.id, e.head))
     nxt = {v: iter(arcs) for v, arcs in outs.items()}
-    walks: dict[int, list[tuple[int, ...]]] = {q: [] for q in terms[1:]}
-    for q in terms[1:]:
+    walks: dict[int, list[tuple[int, ...]]] = {
+        leaf: [] for leaf in range(1, len(terms))}
+    for leaf, bundle in walks.items():
         for _ in range(len(terms) - 1):
-            here, walk = q, []
+            here, walk = terms[leaf], []
             while here != terms[0]:
                 eid, here = next(nxt[here])
                 walk.append(eid)
-            walks[q].append(tuple(walk))
+            bundle.append(tuple(walk))
     return walks
 
 
 def _route_thick_star(g: MultiGraph, terms: list[int]) -> ImmersionCertificate:
-    """Certificate with phi(i) = terms[i] through thick_star(t), centre
-    terms[0] and leaf l terms[l].  The fan of (t-1)^2 trails out of
-    terms[0], t-1 to each leaf, gives each star edge its copy away from the
-    centre; its copy toward the centre is that trail reversed on a graph
-    and a return walk on a digraph.  thick_star_route(t) is walked through
-    those copies, both ways on a digraph, and trimmed to paths."""
+    """Certificate with phi(i) = terms[i], routed by the thick star's rule
+    (_star_walks) with centre terms[0] and leaf l at terms[l].  One fan of
+    (t-1)^2 trails out of terms[0], t-1 to each leaf, gives each leaf its
+    copies away from the centre, in fan order.  Its copies toward the
+    centre are those trails reversed on a graph and return walks on a
+    digraph.  Each walk is trimmed to a path."""
     t = len(terms)
     fan = menger_fan(g, terms[0], {v: t - 1 for v in terms[1:]})
-    away = {v: [tr.edges for tr in fan if tr.end == v] for v in terms[1:]}
+    away = {leaf: [tr.edges for tr in fan if tr.end == terms[leaf]]
+            for leaf in range(1, t)}
     if g.directed:
         toward = _return_walks(g, terms, fan)
     else:
-        toward = {v: [tr[::-1] for tr in bundle] for v, bundle in away.items()}
-    star = thick_star(t)
-    # A leaf's spokes take its terminal's two copies in order.
-    copies = {v: iter(zip(away[v], toward[v])) for v in terms[1:]}
-    spoke = {e.id: next(copies[terms[e.head]]) for e in star.graph.edges}
-    route = thick_star_route(t).trails
-    if g.directed:
-        route = {**route, **{(q, p): tr[::-1] for (p, q), tr in route.items()}}
-    trails: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (p, q), star_trail in route.items():
-        here, walk = p, []
-        for k in star_trail:
-            walk.extend(spoke[k][0] if here == 0 else spoke[k][1])
-            here = star.graph.edge(k).other_end(here)
-        trails[(p, q)] = tuple(_trim_to_path(g, walk, terms[p], terms[q]))
+        toward = {leaf: [tr[::-1] for tr in bundle]
+                  for leaf, bundle in away.items()}
+    trails = {(p, q): tuple(_trim_to_path(g, walk, terms[p], terms[q]))
+              for (p, q), walk in _star_walks(t, g.directed, away,
+                                              toward).items()}
     return ImmersionCertificate(t, g.directed, tuple(terms), trails)
 
 
 def extract_clique_immersion(g: MultiGraph, terminals) -> ImmersionCertificate:
-    """Clique immersion certificate with phi(i) = terminals[i]: each
-    thick_star(t) edge rides one trail of the fan out of terminals[0],
-    forwards from the centre and reversed from the leaf.  Feasibility is
-    checked by the fan itself; FanInfeasible carries the violated cut."""
+    """Clique immersion certificate with phi(i) = terminals[i], routed by
+    the thick star's rule: each leaf's copies are fan trails out of
+    terminals[0], walked forwards away from the centre and reversed toward
+    it.  Feasibility is checked by the fan itself; FanInfeasible carries
+    the violated cut."""
     if g.directed:
         raise GraphError("extract_clique_immersion applies to undirected hosts")
     return _route_thick_star(g, _check_terminals(g, terminals))
@@ -244,9 +232,9 @@ def extract_clique_immersion(g: MultiGraph, terminals) -> ImmersionCertificate:
 
 def extract_directed_clique_immersion(d: MultiGraph, terminals) -> ImmersionCertificate:
     """Bidirected-clique immersion certificate on an Eulerian digraph, with
-    phi(i) = terminals[i]: each thick-star edge rides a trail of the
-    directed fan out of terminals[0] away from it and a return walk toward
-    it, and each pattern edge of thick_star_route(t) is walked both ways.
+    phi(i) = terminals[i], routed by the thick star's rule for every
+    ordered pair: each leaf's copies are trails of the directed fan out of
+    terminals[0] away from the centre and return walks toward it.
 
     Feasibility is checked by the fan itself; FanInfeasible carries the
     violated cut, counted by the arcs leaving its side.  Once the fan

@@ -95,7 +95,7 @@ def test_criterion_3_thick_star_routing(capsys):
     for t in range(2, 7):
         star = thick_star(t)
         cert = thick_star_route(t)
-        rep = verify_certificate(star.graph, cert)
+        rep = verify_certificate(star, cert)
         if not rep.ok:
             failures.append(f"t={t}: {rep.problem}")
         used = [eid for tr in cert.trails.values() for eid in tr]

@@ -524,6 +524,8 @@ class TestExitCodes:
         ("random-eulerian-digraph", ("--n", 2, "--m", SIZE_LIMIT + 1)),
         # 2000 vertices of outdegree 501 make 1,002,000 arcs.
         ("simple-eulerian-min-outdeg", ("--n", 2000, "--floor", 501)),
+        # The last cycle may overshoot --m by up to --n - 1 arcs.
+        ("random-eulerian-digraph", ("--n", 1000, "--m", SIZE_LIMIT)),
     ])
     def test_gen_over_limit(self, workdir, capsys, family, sizes):
         out = workdir / "gen.txt"

@@ -301,7 +301,7 @@ class TestReset:
 class TestMengerFan:
     def test_doubled_star_uses_single_edges(self):
         star = thick_star(3)
-        fan = menger_fan(star.graph, 0, {1: 2, 2: 2})
+        fan = menger_fan(star, 0, {1: 2, 2: 2})
         assert len(fan) == 4
         assert all(len(tr.edges) == 1 for tr in fan)
         assert sorted(tr.end for tr in fan) == [1, 1, 2, 2]

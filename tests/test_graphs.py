@@ -339,11 +339,6 @@ class TestContract:
 
 
 class TestRewrites:
-    def test_induced_subgraph(self):
-        g = MultiGraph.undirected(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        sub = g.induced_subgraph([0, 1, 2])
-        assert edge_pairs(sub) == [(0, 1), (1, 2)]
-
     def test_underlying_keeps_ids(self):
         d = MultiGraph.directed_graph(3, [(2, 0), (0, 1)])
         u = d.underlying()

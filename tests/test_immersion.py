@@ -95,23 +95,18 @@ class TestThresholds:
 
 class TestThickStar:
     def test_shape(self):
-        star = thick_star(4)
-        g = star.graph
+        g = thick_star(4)
         assert brute.degree(g, 0) == 9
         assert all(brute.degree(g, v) == 3 for v in (1, 2, 3))
         assert g.edge_count == 9
 
-    def test_labels_cover_all_edges(self):
-        star = thick_star(5)
-        assert sorted(star.labels.values()) == list(range(16))
-        assert set(star.labels) == {
-            (j, i) for j in range(2, 6) for i in range(1, 6) if i != j
-        }
-
-    def test_smallest_star(self):
-        star = thick_star(2)
-        assert star.graph.edge_count == 1
-        assert star.labels == {(2, 1): 0}
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_edge_ids_follow_leaf_and_copy(self, t):
+        star = thick_star(t)
+        assert star.edge_count == (t - 1) ** 2
+        for leaf in range(1, t):
+            for k in range(t - 1):
+                assert star.edge((leaf - 1) * (t - 1) + k).ends() == (0, leaf)
 
     def test_rejects_t_below_two(self):
         with pytest.raises(GraphError):
@@ -138,7 +133,7 @@ class TestThickStarRoute:
     def test_verifies_on_its_star(self, t):
         star = thick_star(t)
         cert = thick_star_route(t)
-        report = verify_certificate(star.graph, cert)
+        report = verify_certificate(star, cert)
         assert report.ok, report.problem
         used = [eid for tr in cert.trails.values() for eid in tr]
         assert len(used) == (t - 1) ** 2
@@ -149,11 +144,11 @@ class TestThickStarRoute:
 
 
 class TestExtractUndirected:
-    def test_thick_star_host_reproduces_route(self):
-        star = thick_star(3)
-        cert = extract_clique_immersion(star.graph, (0, 1, 2))
-        assert cert.phi == (0, 1, 2)
-        assert cert.trails == thick_star_route(3).trails
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+    def test_thick_star_host_reproduces_route(self, t):
+        cert = extract_clique_immersion(thick_star(t), range(t))
+        assert cert.phi == tuple(range(t))
+        assert cert.trails == thick_star_route(t).trails
 
     def test_complete_graph(self):
         g = complete_graph(5)
@@ -221,6 +216,19 @@ class TestExtractDirected:
         assert cert.phi == (1, 3)
         report = verify_certificate(d, cert)
         assert report.ok, report.problem
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7])
+    def test_bidirected_thick_star_uses_every_arc_once(self, t):
+        # t-1 arcs 0->l and t-1 arcs l->0 per leaf l: exactly what the
+        # directed route needs.
+        arcs = [a for leaf in range(1, t)
+                for a in [(0, leaf)] * (t - 1) + [(leaf, 0)] * (t - 1)]
+        d = MultiGraph.directed_graph(t, arcs)
+        cert = extract_directed_clique_immersion(d, range(t))
+        report = verify_certificate(d, cert)
+        assert report.ok, report.problem
+        used = sorted(eid for tr in cert.trails.values() for eid in tr)
+        assert used == list(range(2 * (t - 1) ** 2))
 
     def test_return_walk_through_another_terminal(self):
         # Three arcs per ordered pair.  The fan leaves 0 on its own arcs,
@@ -423,13 +431,13 @@ class TestDecomposeDirected:
 class TestVerifyCertificate:
     def test_route_passes(self):
         star = thick_star(3)
-        assert verify_certificate(star.graph, thick_star_route(3)).ok
+        assert verify_certificate(star, thick_star_route(3)).ok
 
     def test_duplicated_edge_reported(self):
         star = thick_star(3)
         cert = thick_star_route(3)
         cert.trails[(1, 2)] = (0, 3)
-        report = verify_certificate(star.graph, cert)
+        report = verify_certificate(star, cert)
         assert not report.ok
         assert "edge 0" in report.problem
 
@@ -479,7 +487,7 @@ class TestVerifyCertificate:
         star = thick_star(3)
         cert = thick_star_route(3)
         cert.phi = (0, 1, 1)
-        report = verify_certificate(star.graph, cert)
+        report = verify_certificate(star, cert)
         assert not report.ok
         assert "injective" in report.problem
 
@@ -509,7 +517,7 @@ class TestVerifyCertificate:
         cert = thick_star_route(2)
         host = MultiGraph.directed_graph(2, [(0, 1)])
         assert not verify_certificate(host, cert).ok
-        assert verify_certificate(star.graph, cert).ok
+        assert verify_certificate(star, cert).ok
 
     def test_disconnected_trail(self):
         g = MultiGraph.undirected(4, [(0, 1), (2, 3)])
@@ -797,9 +805,9 @@ class TestBruteForceOracle:
 
     def test_star_with_doubled_spokes_matches_route(self):
         star = thick_star(3)
-        cert = brute_force_immersion(3, star.graph)
+        cert = brute_force_immersion(3, star)
         assert cert is not None
-        assert verify_certificate(star.graph, cert).ok
+        assert verify_certificate(star, cert).ok
 
     def test_loops_are_invisible(self):
         g = MultiGraph.undirected(2, [(0, 0), (1, 1)])
