@@ -211,8 +211,10 @@ def menger_fan(g: MultiGraph, source: int,
 
     Solved as one flow to an auxiliary vertex joined to each demanded vertex
     by demands[v] parallel edges; the auxiliary vertex never appears in the
-    output.  Raises FanInfeasible with the blocking cut when the demands
-    cannot be met; on a digraph the cut counts the arcs leaving its side.
+    output.  Those edges cap the flow at the total demand, so the flow
+    stops there instead of ending on a search that finds no path.  Raises
+    FanInfeasible with the blocking cut when the demands cannot be met; on
+    a digraph the cut counts the arcs leaving its side.
     """
     if source not in g.vertex_set:
         raise GraphError(f"unknown vertex {source}")
@@ -233,7 +235,7 @@ def menger_fan(g: MultiGraph, source: int,
     for v in sorted(demands):
         if demands[v] > 0:
             net.add_group(v, aux, demands[v], 0, ())
-    value = net.max_flow(source, aux)
+    value = net.max_flow(source, aux, limit=total)
     if value < total:
         side = net.cut_side(source)
         crossing = sum(

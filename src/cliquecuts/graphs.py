@@ -7,7 +7,10 @@ name edges that no longer exist in the current graph.
 """
 from __future__ import annotations
 
+import re
 from collections import deque
+from itertools import repeat
+from operator import ge, gt
 from typing import Iterable, NamedTuple
 
 
@@ -67,9 +70,46 @@ class MultiGraph:
         directed: bool,
         next_edge_id: int | None = None,
     ):
-        vset = frozenset(int(v) for v in vertices)
-        if any(v < 0 for v in vset):
+        vset = frozenset(map(int, vertices))
+        if vset and min(vset) < 0:
             raise GraphError("vertex ids must be non-negative")
+        edges = list(edges)
+        recs = self._checked_whole(edges, vset, directed)
+        if recs is None:
+            recs = self._checked_each(edges, vset, directed)
+        self.directed = directed
+        self._vertex_set = vset
+        self._vertices = tuple(sorted(vset))
+        self._edges = recs
+        top = next(reversed(recs)) + 1 if recs else 0
+        if next_edge_id is None:
+            next_edge_id = top
+        elif next_edge_id < top:
+            raise GraphError("next_edge_id collides with an existing edge id")
+        self._next_id = next_edge_id
+
+    @staticmethod
+    def _checked_whole(edges: list, vset: frozenset,
+                       directed: bool) -> dict[int, EdgeRecord] | None:
+        """The edges by id, checked collection by collection; None unless
+        every edge is an EdgeRecord, ids ascend, ends are known and,
+        undirected, ordered, so that _checked_each takes any other input."""
+        if not edges:
+            return {}
+        if not set(map(type, edges)) <= {EdgeRecord}:
+            return None
+        ids, tails, heads = zip(*edges)
+        if (any(map(ge, ids, ids[1:]))
+                or not directed and any(map(gt, tails, heads))
+                or not vset.issuperset(tails) or not vset.issuperset(heads)):
+            return None
+        return dict(zip(ids, edges))
+
+    @staticmethod
+    def _checked_each(edges: list, vset: frozenset,
+                      directed: bool) -> dict[int, EdgeRecord]:
+        """The edges by id, in id order, converted and checked one at a
+        time: the first fault raises."""
         recs: dict[int, EdgeRecord] = {}
         for e in edges:
             if not isinstance(e, EdgeRecord):
@@ -82,16 +122,7 @@ class MultiGraph:
             if e.tail not in vset or e.head not in vset:
                 raise GraphError(f"edge {e.id} touches unknown vertex")
             recs[e.id] = e
-        self.directed = directed
-        self._vertex_set = vset
-        self._vertices = tuple(sorted(vset))
-        self._edges = dict(sorted(recs.items()))
-        top = max(self._edges) + 1 if self._edges else 0
-        if next_edge_id is None:
-            next_edge_id = top
-        elif next_edge_id < top:
-            raise GraphError("next_edge_id collides with an existing edge id")
-        self._next_id = next_edge_id
+        return dict(sorted(recs.items()))
 
     # -- construction helpers -------------------------------------------------
 
@@ -230,19 +261,47 @@ def split_off(g: MultiGraph, e1: int, e2: int) -> MultiGraph:
 SIZE_LIMIT = 10**6
 
 
+_COMMENT = re.compile(r"#[^\n]*")
+
+
+def _records(ids, tails, heads) -> list[EdgeRecord]:
+    """EdgeRecords from three columns, with no Python call per edge."""
+    return list(map(tuple.__new__, repeat(EdgeRecord), zip(ids, tails, heads)))
+
+
+def _first_bad_row(rows: list[str], n: int) -> tuple[int, str]:
+    """Index of the first edge row that is not two ASCII numerals below n,
+    and the complaint about it."""
+    for k, row in enumerate(rows):
+        toks = row.split()
+        digits = "".join(toks)
+        if len(toks) != 2 or not (digits.isdigit() and digits.isascii()):
+            return k, "expected 'u v', got {!r}"
+        try:
+            if max(map(int, toks)) < n:
+                continue
+        except ValueError:  # more digits than int() converts: out of range
+            pass
+        return k, "vertex index out of range in {!r}"
+    raise AssertionError("no bad edge row")
+
+
 def parse_graph(text: str) -> MultiGraph:
     """Read the edge-list format: a header line ``graph n m`` or
     ``digraph n m`` and then exactly m lines ``u v`` with 0-based endpoints.
     Every number is a run of ASCII digits.  Lines end at ``\\n`` only, and
-    ``#`` starts a comment that runs to the end of its line."""
-    rows: list[tuple[int, str]] = []
-    for no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((no, line))
+    ``#`` starts a comment that runs to the end of its line.
+
+    The body is read in whole-list passes and validated once; only a
+    rejected body is searched row by row for its first bad line."""
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    lines = list(map(str.strip, text.split("\n")))
+    rows = list(filter(None, lines))
     if not rows:
         raise ParseError("empty document", 1)
-    head_no, head = rows[0]
+    head = rows[0]
+    head_no = lines.index(head) + 1
     parts = head.split()
     if len(parts) != 3 or parts[0] not in ("graph", "digraph"):
         raise ParseError(f"malformed header {head!r}", head_no)
@@ -260,22 +319,25 @@ def parse_graph(text: str) -> MultiGraph:
     if len(body) != m:
         raise ParseError(f"expected {m} edge lines, found {len(body)}", head_no)
     directed = parts[0] == "digraph"
-    edges = []
-    for eid, (no, line) in enumerate(body):
-        toks = line.split()
-        if not (len(toks) == 2 and toks[0].isdigit() and toks[1].isdigit()
-                and toks[0].isascii() and toks[1].isascii()):
-            raise ParseError(f"expected 'u v', got {line!r}", no)
+    if not body:
+        return MultiGraph(range(n), (), directed)
+    tokens = " ".join(body).split()
+    digits = "".join(tokens)
+    ends = None
+    if (set(map(len, map(str.split, body))) == {2} and digits.isdigit()
+            and digits.isascii()):
         try:
-            u, v = int(toks[0]), int(toks[1])
+            ends = list(map(int, tokens))
         except ValueError:  # more digits than int() converts: out of range
-            u = v = n
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise ParseError(f"vertex index out of range in {line!r}", no)
-        if not directed and u > v:
-            u, v = v, u
-        edges.append(EdgeRecord(eid, u, v))
-    return MultiGraph(range(n), edges, directed)
+            pass
+    if ends is None or max(ends) >= n:
+        k, complaint = _first_bad_row(body, n)
+        line_nos = [no for no, line in enumerate(lines, start=1) if line]
+        raise ParseError(complaint.format(body[k]), line_nos[k + 1])
+    tails, heads = ends[0::2], ends[1::2]
+    if not directed:
+        tails, heads = map(min, tails, heads), map(max, tails, heads)
+    return MultiGraph(range(n), _records(range(m), tails, heads), directed)
 
 
 def serialize_graph(g: MultiGraph) -> str:

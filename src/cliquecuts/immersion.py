@@ -11,8 +11,11 @@ The certificate's terminals are the t smallest members of the first block
 of at least t vertices, a block being a class of "min cut >= threshold".
 When the t lowest vertices of the host share a block, t-1 flows capped at
 the threshold show it and no cut tree is built; otherwise the cut tree
-gives the blocks.  Either way the certificate is routed through one Menger
-fan out of the first terminal, which checks its own feasibility.
+gives the blocks.  On an Eulerian digraph those flows run on the digraph
+itself, capped at half the threshold, since each two-way cut is twice the
+directed one; the underlying graph is built only for the cut tree.
+Either way the certificate is routed through one Menger fan out of the
+first terminal, which checks its own feasibility.
 
 A returned decomposition never claims that no immersion exists; only the
 certificate direction is definite.
@@ -249,31 +252,36 @@ def extract_directed_clique_immersion(d: MultiGraph, terminals) -> ImmersionCert
     return _route_thick_star(d, _check_terminals(d, terminals))
 
 
-def _lowest_block(g: MultiGraph, t: int, threshold: int) -> list[int] | None:
-    """The t lowest vertices of g when they share a block, else None.
+def _lowest_block(g: MultiGraph, t: int, limit: int) -> list[int] | None:
+    """The t lowest vertices of g when each is joined to the lowest by a
+    minimum cut of at least `limit`, else None.
 
     Minimum cuts are ultrametric, lambda(u, w) >= min(lambda(u, v),
-    lambda(v, w)), so they share a block exactly when each is joined to
-    the lowest by a cut of at least threshold.  That block is then the
-    first, and they are its t smallest members.  The t-1 flows run on one
-    network, each stopped at threshold."""
+    lambda(v, w)), so with `limit` the threshold they share a block
+    exactly when the check passes; that block is then the first, and they
+    are its t smallest members.  On an Eulerian digraph every set sends
+    out as many arcs as it takes in, so each two-way cut is twice the
+    directed one: the digraph itself is checked, with `limit` half the
+    threshold, and no underlying graph is built.  The t-1 flows run on one
+    network, each stopped at `limit`."""
     low = list(g.vertices[:t])
     if len(low) < t:
         return None
     net = _net_for(g)
     for v in low[1:]:
         net.reset()
-        if net.max_flow(low[0], v, limit=threshold) < threshold:
+        if net.max_flow(low[0], v, limit=limit) < limit:
             return None
     return low
 
 
 def _pipeline(g: MultiGraph, t: int, directed: bool):
     threshold = cut_threshold(t, directed)
-    und = g.underlying() if directed else g
-    terminals = _lowest_block(und, t, threshold)
+    # A directed g is Eulerian (decompose_directed checks that first), so
+    # its directed cuts are half its two-way cuts.
+    terminals = _lowest_block(g, t, threshold // 2 if directed else threshold)
     if terminals is None:
-        tree = build_gomory_hu(und)
+        tree = build_gomory_hu(g.underlying() if directed else g)
         selected = [e for e in tree.edges if e.weight < threshold]
         blocks = tree.blocks_without(selected)
         large = [b for b in blocks if len(b) >= t]

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from cliquecuts import MultiGraph
+from cliquecuts import graphs
+from cliquecuts import EdgeRecord, MultiGraph, ParseError, UnsupportedSizeError
 
 
 def degree(g: MultiGraph, v: int):
@@ -190,3 +191,49 @@ def cut_classes(g: MultiGraph, sides) -> set[frozenset]:
         key = (comp_of[v],) + tuple(v in s for s in sides)
         classes.setdefault(key, set()).add(v)
     return {frozenset(c) for c in classes.values()}
+
+
+def parse_graph(text: str) -> MultiGraph:
+    """The edge-list format read one line at a time: the reference that
+    cliquecuts.parse_graph must match on every text, graph and error
+    alike."""
+    rows: list[tuple[int, str]] = []
+    for no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            rows.append((no, line))
+    if not rows:
+        raise ParseError("empty document", 1)
+    head_no, head = rows[0]
+    parts = head.split()
+    if len(parts) != 3 or parts[0] not in ("graph", "digraph"):
+        raise ParseError(f"malformed header {head!r}", head_no)
+    if not all(p.isdigit() and p.isascii() for p in parts[1:]):
+        raise ParseError(f"malformed header {head!r}", head_no)
+    try:
+        n, m = int(parts[1]), int(parts[2])
+    except ValueError:  # more digits than int() converts
+        raise UnsupportedSizeError(f"line {head_no}: header count too large") from None
+    if n > graphs.SIZE_LIMIT:
+        raise UnsupportedSizeError(
+            f"line {head_no}: more than {graphs.SIZE_LIMIT} vertices")
+    body = rows[1:]
+    if len(body) != m:
+        raise ParseError(f"expected {m} edge lines, found {len(body)}", head_no)
+    directed = parts[0] == "digraph"
+    edges = []
+    for eid, (no, line) in enumerate(body):
+        toks = line.split()
+        if not (len(toks) == 2 and toks[0].isdigit() and toks[1].isdigit()
+                and toks[0].isascii() and toks[1].isascii()):
+            raise ParseError(f"expected 'u v', got {line!r}", no)
+        try:
+            u, v = int(toks[0]), int(toks[1])
+        except ValueError:  # more digits than int() converts: out of range
+            u = v = n
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise ParseError(f"vertex index out of range in {line!r}", no)
+        if not directed and u > v:
+            u, v = v, u
+        edges.append(EdgeRecord(eid, u, v))
+    return MultiGraph(range(n), edges, directed)

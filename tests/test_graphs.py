@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
@@ -109,6 +109,82 @@ class TestParse:
     def test_undirected_ends_ordered(self):
         assert parse_graph("graph 4 1\n3 1\n").edges == (EdgeRecord(0, 1, 3),)
         assert parse_graph("digraph 4 1\n3 1\n").edges == (EdgeRecord(0, 3, 1),)
+
+
+# The pieces parser texts are built from: separators, comments, blank
+# lines, ASCII digits with and without leading zeros, a numeral too long
+# for int(), a non-ASCII digit and a sign.
+_SPACE = st.sampled_from([" ", "\t", "  ", " \t ", "\r"])
+_END = st.sampled_from(["\n", "\r\n", "\n\n", " # note\n", "#\n",
+                        "\n# comment line\n", "\n \t\n"])
+_NUMERAL = st.one_of(
+    *[st.integers(0, 6).map(str)] * 6,
+    st.integers(0, 6).map(lambda k: "00" + str(k)),
+    st.sampled_from(["9" * 5000, "0" * 4999 + "1", "\u0663", "-1", "1-", "12"]),
+)
+_PIECES = st.sampled_from([
+    "graph", "digraph", "\n", "\r", "\t", " ", "# c", "#", "\n\n",
+    *"0123456789", "\u0663", "00", "9" * 5000, "-",
+])
+
+
+def _mostly(draw, good, bad):
+    """good nine times in ten, else one of the strategy bad's values."""
+    return good if draw(st.integers(0, 9)) else draw(bad)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A header and rows, mostly well formed, so that both accepted texts
+    and every kind of rejection occur."""
+    rows = [_mostly(draw, draw(_NUMERAL) + draw(_SPACE) + draw(_NUMERAL),
+                    st.sampled_from(["0", "0 1 2", "a b", "0 -"]))
+            for _ in range(draw(st.integers(0, 5)))]
+    kind = _mostly(draw, draw(st.sampled_from(["graph", "digraph"])),
+                   st.sampled_from(["grap", "graph 1", "-"]))
+    n = _mostly(draw, str(draw(st.integers(5, 7))), _NUMERAL)
+    m = _mostly(draw, str(len(rows)), st.sampled_from(
+        [str(len(rows) + 1), "7_", "9" * 5000]))
+    text = draw(st.sampled_from(["", "# lead\n", "\n"]))
+    text += kind + draw(_SPACE) + n + draw(_SPACE) + m + draw(_END)
+    return text + "".join(row + draw(_END) for row in rows)
+
+
+def parse_outcome(parse, text):
+    """The graph a parser returns, as the fields that make two graphs
+    equal, or the type and message of what it raises."""
+    try:
+        g = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g.directed, g.vertices, g.edges, g.next_edge_id
+
+
+class TestParseDifferential:
+    """parse_graph against the line-by-line reference in brute."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(edge_list_texts(), st.lists(_PIECES).map("".join)))
+    @example("graph 3 2\n0 5\nx y\n")
+    @example("digraph 4 2\n3\n0 1 2\n")
+    @example("graph 3 2\n0 1 # a\n\n0 5\n")
+    @example(f"digraph 3 2\n0 {'0' * 4999}1\n0 1 2\n")
+    def test_matches_reference(self, text):
+        assert parse_outcome(parse_graph, text) == parse_outcome(
+            brute.parse_graph, text)
+
+    @pytest.mark.parametrize("text, message", [
+        # The first bad row decides, whatever is wrong further down.
+        ("graph 3 3\n0 1\n0 5\nx y\n", "line 3: vertex index out of range in '0 5'"),
+        ("graph 3 3\n0 1\nx y\n0 5\n", "line 3: expected 'u v', got 'x y'"),
+        # Three numbers on one row and one on the next: four in all.
+        ("graph 4 2\n0 1 2\n3\n", "line 2: expected 'u v', got '0 1 2'"),
+        ("# c\n\ngraph 3 2 # h\n\n0 1\n# c\n1 \u0663\n",
+         "line 7: expected 'u v', got '1 \u0663'"),
+    ])
+    def test_first_bad_row_named(self, text, message):
+        assert parse_outcome(parse_graph, text) == (ParseError, message)
+        assert parse_outcome(brute.parse_graph, text) == (ParseError, message)
 
 
 class TestEdgeRecord:
@@ -350,3 +426,31 @@ class TestRewrites:
         with pytest.raises(GraphError):
             MultiGraph(range(2), [(0, 0, 1), (0, 1, 0)], False)
 
+    @given(st.one_of(multigraphs(max_n=6, max_m=10), digraphs(max_n=6, max_m=10)),
+           st.randoms(use_true_random=False))
+    def test_records_and_tuples_agree(self, g, rnd):
+        # Records in id order with ordered ends are checked collection by
+        # collection; shuffled ones, with undirected ends reversed, and
+        # tuples one at a time.  All give g.
+        recs = list(g.edges)
+        rnd.shuffle(recs)
+        if not g.directed:
+            recs = [EdgeRecord(e.id, e.head, e.tail) for e in recs]
+        for edges in (list(g.edges), recs, [tuple(e) for e in recs]):
+            again = MultiGraph(g.vertices, edges, g.directed)
+            assert (again.edges, again.next_edge_id) == (g.edges, g.next_edge_id)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 0, 1), (1, 1, 2), (0, 1, 0)], "duplicate edge id 0"),
+        ([(0, 0, 1), (0, 1, 2)], "duplicate edge id 0"),
+        ([(0, 0, 1), (1, 5, 2)], "edge 1 touches unknown vertex"),
+        ([(0, 0, 1), (1, 1, 5), (1, 0, 1)], "edge 1 touches unknown vertex"),
+        ([(3, 0, 1), (1, 1, 5), (3, 0, 1)], "edge 1 touches unknown vertex"),
+        ([(0, 0, 1), (1, 1, 5)], "edge 1 touches unknown vertex"),
+        ([(1, 5, 2), (0, 0, 1)], "edge 1 touches unknown vertex"),
+    ])
+    def test_records_name_first_fault(self, edges, message):
+        for directed in (False, True):
+            for form in (tuple, lambda e: EdgeRecord(*e)):
+                with pytest.raises(GraphError, match=f"^{message}$"):
+                    MultiGraph(range(3), map(form, edges), directed)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -319,6 +320,55 @@ class TestBlockCheck:
         assert isinstance(cert, ImmersionCertificate)
         assert cert.phi == tuple(range(t))
         report = verify_certificate(host, cert)
+        assert report.ok, report.problem
+
+    @pytest.mark.usefixtures("no_tree")
+    def test_directed_check_builds_no_underlying_graph(self, monkeypatch):
+        def broken(d):
+            raise AssertionError("underlying graph built")
+        monkeypatch.setattr(MultiGraph, "underlying", broken)
+        host = bidirected_complete(7)
+        cert = decompose_directed(host, 3)
+        assert isinstance(cert, ImmersionCertificate)
+        assert cert.phi == (0, 1, 2)
+        report = verify_certificate(host, cert)
+        assert report.ok, report.problem
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_two_way_cut_is_twice_the_directed_cut(self, seed):
+        # The identity the directed check stands on: every set of an
+        # Eulerian digraph sends out as many arcs as it takes in.
+        rng = random.Random(seed)
+        d = random_eulerian_digraph(rng.randint(2, 7), rng.randint(0, 20), rng)
+        u = d.underlying()
+        for a, b in itertools.permutations(d.vertices, 2):
+            assert brute.min_cut_undirected(u, a, b) == (
+                2 * brute.min_cut_directed(d, a, b))
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_directed_cut_at_half_threshold(self, t, trees):
+        # Bidirected K_{t(t-1)+1}: every directed cut between the t lowest
+        # vertices is exactly t(t-1), half the threshold 2t(t-1), so they
+        # are certified without a tree.  Without the arcs of the directed
+        # triangle 0 -> 1 -> 2 -> 0 the host stays Eulerian, the cut from
+        # 0 to 1 drops to t(t-1) - 1, and the tree decides.
+        k = t * (t - 1)
+        host = bidirected_complete(k + 1)
+        assert min(brute.min_cut_directed(host, 0, v) for v in range(1, t)) == k
+        cert = decompose_directed(host, t)
+        assert not trees
+        assert cert.phi == tuple(range(t))
+        assert verify_certificate(host, cert).ok
+        triangle = {(0, 1), (1, 2), (2, 0)}
+        short = MultiGraph(host.vertices, [e for e in host.edges
+                                           if e.ends() not in triangle], True)
+        assert short.is_eulerian()
+        assert brute.min_cut_directed(short, 0, 1) == k - 1
+        outcome = decompose_directed(short, t)
+        assert len(trees) == 1
+        verify = (verify_certificate if isinstance(outcome, ImmersionCertificate)
+                  else verify_decomposition)
+        report = verify(short, outcome)
         assert report.ok, report.problem
 
     def test_short_cut_builds_tree(self, trees):
