@@ -10,11 +10,20 @@ integer capacity and decomposed back to distinct edge ids afterwards.
 Undirected edges become two opposite arcs sharing residual bookkeeping.
 Loops never reach the solver.  All scans run in ascending edge-id order, so
 every returned value, cut side and trail is deterministic.
+
+A network is built from a graph in whole-list passes: one loop bundles
+the edges and one lists each vertex's arcs, and the arc, capacity and id
+lists are sliced and interleaved from per-bundle columns.  It serves any
+number of flows, as reset() undoes the flow pushed so far, so one network
+carries a decide's capped flows and then its fan, whose auxiliary sink
+add_group joins to it.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
+from itertools import compress
+from operator import gt, itemgetter
 
 from .graphs import GraphError, MultiGraph
 
@@ -42,18 +51,48 @@ class FanInfeasible(GraphError):
         self.required = required
 
 
+def _interleave(even: list, odd: list) -> list:
+    """even[0], odd[0], even[1], odd[1], ... for two lists of one length."""
+    out = [None] * (2 * len(even))
+    out[0::2] = even
+    out[1::2] = odd
+    return out
+
+
 class _Net:
     """Edmonds-Karp solver.  Arcs are stored in pairs; arc a's reverse is
-    a ^ 1."""
+    a ^ 1.
 
-    def __init__(self):
-        self._index: dict[int, int] = {}
-        self._verts: list[int] = []
-        self._adj: list[list[int]] = []
-        self._to: list[int] = []
-        self._res: list[int] = []
-        self._init: list[int] = []
-        self._ids: list[tuple[int, ...]] = []
+    Built from a graph in whole-list passes: the vertex index follows
+    g.vertices, and each non-loop (tail, head) bundle is one arc pair, the
+    bundles in ascending smallest-id order.  Undirected edges keep
+    tail <= head, so their pairs are unordered.  Ids within a bundle ascend,
+    as g.edges is in id order."""
+
+    def __init__(self, g: MultiGraph):
+        bundles: dict[tuple[int, int], list[int]] = {}
+        for eid, u, v in g.edges:
+            if u != v:
+                bundles.setdefault((u, v), []).append(eid)
+        self._verts: list[int] = list(g.vertices)
+        self._index: dict[int, int] = dict(
+            zip(self._verts, range(len(self._verts))))
+        index = self._index.__getitem__
+        tails = list(map(index, map(itemgetter(0), bundles)))
+        heads = list(map(index, map(itemgetter(1), bundles)))
+        caps = list(map(len, bundles.values()))
+        # Arc 2k runs along bundle k, arc 2k+1 back against it.
+        self._to: list[int] = _interleave(heads, tails)
+        self._init: list[int] = _interleave(
+            caps, [0] * len(caps) if g.directed else caps)
+        self._res: list[int] = self._init[:]
+        ids = list(bundles.values())
+        self._ids: list[Sequence[int]] = _interleave(ids, ids)
+        # Each vertex lists the arcs leaving it in ascending order: arc a
+        # enters to[a], so a ^ 1 leaves it.
+        self._adj: list[list[int]] = [[] for _ in self._verts]
+        for a, y in enumerate(self._to):
+            self._adj[y].append(a ^ 1)
 
     def vertex(self, v: int) -> int:
         idx = self._index.get(v)
@@ -91,9 +130,10 @@ class _Net:
         adj, to, res = self._adj, self._to, self._res
         via: list[int | None] = [None] * len(self._verts)
         via[s] = -1
-        queue = deque([s])
-        while queue:
-            for a in adj[queue.popleft()]:
+        # The loop also visits the vertices appended while it runs.
+        queue = [s]
+        for x in queue:
+            for a in adj[x]:
                 y = to[a]
                 if via[y] is None and res[a] > 0:
                     via[y] = a
@@ -135,16 +175,14 @@ class _Net:
     def _flow_units(self):
         """Yield one (edge id or None, tail vertex, head vertex) per unit of
         net flow; ids within a bundle are consumed in ascending order."""
-        for a in range(0, len(self._to), 2):
-            for arc in (a, a + 1):
-                pushed = self._init[arc] - self._res[arc]
-                if pushed <= 0:
-                    continue
-                head = self._verts[self._to[arc]]
-                tail = self._verts[self._to[arc ^ 1]]
-                ids = self._ids[arc]
-                for k in range(pushed):
-                    yield (ids[k] if ids else None, tail, head)
+        verts, to, ids = self._verts, self._to, self._ids
+        init, res = self._init, self._res
+        # An arc carries net flow exactly when its residual fell below its
+        # capacity; compress picks those few arcs out of the whole list.
+        for arc in compress(range(len(to)), map(gt, init, res)):
+            head, tail = verts[to[arc]], verts[to[arc ^ 1]]
+            for k in range(init[arc] - res[arc]):
+                yield (ids[arc][k] if ids[arc] else None, tail, head)
 
     def extract_trails(self, s_id: int, count: int) -> list[Trail]:
         """Walk `count` edge-disjoint trails out of the flow, smallest edge id
@@ -171,20 +209,6 @@ class _Net:
         return trails
 
 
-def _net_for(g: MultiGraph) -> _Net:
-    """Non-loop edges bundled by (tail, head), bundles in ascending
-    smallest-id order; undirected edges keep tail <= head, so their pairs
-    are unordered.  Ids within a bundle ascend, as g.edges is in id order."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for e in g.edges:
-        if not e.is_loop():
-            groups.setdefault((e.tail, e.head), []).append(e.id)
-    net = _Net()
-    for (u, v), ids in groups.items():
-        net.add_group(u, v, len(ids), 0 if g.directed else len(ids), tuple(ids))
-    return net
-
-
 def min_cut(g: MultiGraph, u: int, v: int) -> CutResult:
     """A minimum u-v edge cut (u->v arcs on a digraph); its value is the
     number of edge-disjoint u-v trails, 0 when no trail exists.  The side is
@@ -193,7 +217,7 @@ def min_cut(g: MultiGraph, u: int, v: int) -> CutResult:
         raise GraphError(f"unknown vertex in pair ({u}, {v})")
     if u == v:
         raise GraphError("connectivity queries need two distinct vertices")
-    net = _net_for(g)
+    net = _Net(g)
     return CutResult(net.max_flow(u, v), net.cut_side(u))
 
 
@@ -218,7 +242,6 @@ def menger_fan(g: MultiGraph, source: int,
     """
     if source not in g.vertex_set:
         raise GraphError(f"unknown vertex {source}")
-    total = 0
     for v, dem in demands.items():
         if v not in g.vertex_set:
             raise GraphError(f"unknown vertex {v}")
@@ -226,12 +249,18 @@ def menger_fan(g: MultiGraph, source: int,
             raise GraphError("source cannot carry a demand")
         if dem < 0:
             raise GraphError("demands must be non-negative")
-        total += dem
+    return _fan(_Net(g), g, source, demands)
+
+
+def _fan(net: _Net, g: MultiGraph, source: int,
+         demands: dict[int, int]) -> tuple[Trail, ...]:
+    """menger_fan on `net`, a network built from g that may carry flow: it
+    is reset first, and the auxiliary sink's arcs stay in it afterwards."""
+    total = sum(demands.values())
     if total == 0:
         return ()
+    net.reset()
     aux = max(g.vertices) + 1
-    net = _net_for(g)
-    net.vertex(source)
     for v in sorted(demands):
         if demands[v] > 0:
             net.add_group(v, aux, demands[v], 0, ())

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from itertools import repeat
-from operator import ge, gt
+from operator import ge, gt, itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -178,14 +178,13 @@ class MultiGraph:
 
     def is_eulerian(self) -> bool:
         """Every vertex has indegree == outdegree.  Directed graphs only;
-        connectivity is not required."""
+        connectivity is not required.  The tail column and the head column
+        must count each vertex equally often, so they sort to one list."""
         if not self.directed:
             raise GraphError("is_eulerian applies to directed graphs")
-        bal: dict[int, int] = {}
-        for e in self._edges.values():
-            bal[e.tail] = bal.get(e.tail, 0) + 1
-            bal[e.head] = bal.get(e.head, 0) - 1
-        return all(x == 0 for x in bal.values())
+        edges = self._edges.values()
+        return (sorted(map(itemgetter(1), edges))
+                == sorted(map(itemgetter(2), edges)))
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Weakly connected components as sorted tuples, ordered by smallest

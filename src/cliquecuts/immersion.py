@@ -17,6 +17,13 @@ directed one; the underlying graph is built only for the cut tree.
 Either way the certificate is routed through one Menger fan out of the
 first terminal, which checks its own feasibility.
 
+A decide builds one flow network from the host, in whole-list passes.
+The capped flows run on it, and when they certify, the fan runs on it
+too, after a reset, so such a decide builds no other network and checks
+a directed host Eulerian once.  The cut tree builds networks of its own,
+so a decide that needs it certifies through extract_clique_immersion or
+extract_directed_clique_immersion, whose fan builds one more.
+
 A returned decomposition never claims that no immersion exists; only the
 certificate direction is definite.
 """
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterable, Iterator
 
-from .flow import Trail, _net_for, menger_fan
+from .flow import Trail, _fan, _Net, menger_fan
 from .gomoryhu import build_gomory_hu
 from .graphs import (
     GraphError,
@@ -184,9 +191,9 @@ def _return_walks(d: MultiGraph, terms: list[int],
     it sends out, so no walk can stop anywhere else."""
     used = {eid for tr in fan for eid in tr.edges}
     outs: dict[int, list[tuple[int, int]]] = {v: [] for v in d.vertices}
-    for e in d.edges:
-        if e.id not in used and not e.is_loop():
-            outs[e.tail].append((e.id, e.head))
+    for eid, tail, head in d.edges:
+        if eid not in used and tail != head:
+            outs[tail].append((eid, head))
     nxt = {v: iter(arcs) for v, arcs in outs.items()}
     walks: dict[int, list[tuple[int, ...]]] = {
         leaf: [] for leaf in range(1, len(terms))}
@@ -200,15 +207,21 @@ def _return_walks(d: MultiGraph, terms: list[int],
     return walks
 
 
-def _route_thick_star(g: MultiGraph, terms: list[int]) -> ImmersionCertificate:
+def _route_thick_star(g: MultiGraph, terms: list[int],
+                      net: _Net | None = None) -> ImmersionCertificate:
     """Certificate with phi(i) = terms[i], routed by the thick star's rule
     (_star_walks) with centre terms[0] and leaf l at terms[l].  One fan of
     (t-1)^2 trails out of terms[0], t-1 to each leaf, gives each leaf its
-    copies away from the centre, in fan order.  Its copies toward the
-    centre are those trails reversed on a graph and return walks on a
-    digraph.  Each walk is trimmed to a path."""
+    copies away from the centre, in fan order; it runs on `net`, a network
+    built from g, or on a fresh one.  Its copies toward the centre are
+    those trails reversed on a graph and return walks on a digraph.  Each
+    walk is trimmed to a path."""
     t = len(terms)
-    fan = menger_fan(g, terms[0], {v: t - 1 for v in terms[1:]})
+    demands = {v: t - 1 for v in terms[1:]}
+    if net is None:
+        fan = menger_fan(g, terms[0], demands)
+    else:
+        fan = _fan(net, g, terms[0], demands)
     away = {leaf: [tr.edges for tr in fan if tr.end == terms[leaf]]
             for leaf in range(1, t)}
     if g.directed:
@@ -252,7 +265,8 @@ def extract_directed_clique_immersion(d: MultiGraph, terminals) -> ImmersionCert
     return _route_thick_star(d, _check_terminals(d, terminals))
 
 
-def _lowest_block(g: MultiGraph, t: int, limit: int) -> list[int] | None:
+def _lowest_block(g: MultiGraph, net: _Net, t: int,
+                  limit: int) -> list[int] | None:
     """The t lowest vertices of g when each is joined to the lowest by a
     minimum cut of at least `limit`, else None.
 
@@ -262,12 +276,11 @@ def _lowest_block(g: MultiGraph, t: int, limit: int) -> list[int] | None:
     are its t smallest members.  On an Eulerian digraph every set sends
     out as many arcs as it takes in, so each two-way cut is twice the
     directed one: the digraph itself is checked, with `limit` half the
-    threshold, and no underlying graph is built.  The t-1 flows run on one
-    network, each stopped at `limit`."""
+    threshold, and no underlying graph is built.  The t-1 flows run on
+    `net`, built from g, each stopped at `limit`."""
     low = list(g.vertices[:t])
     if len(low) < t:
         return None
-    net = _net_for(g)
     for v in low[1:]:
         net.reset()
         if net.max_flow(low[0], v, limit=limit) < limit:
@@ -279,20 +292,24 @@ def _pipeline(g: MultiGraph, t: int, directed: bool):
     threshold = cut_threshold(t, directed)
     # A directed g is Eulerian (decompose_directed checks that first), so
     # its directed cuts are half its two-way cuts.
-    terminals = _lowest_block(g, t, threshold // 2 if directed else threshold)
-    if terminals is None:
-        tree = build_gomory_hu(g.underlying() if directed else g)
-        selected = [e for e in tree.edges if e.weight < threshold]
-        blocks = tree.blocks_without(selected)
-        large = [b for b in blocks if len(b) >= t]
-        if not large:
-            cuts = []
-            for e in selected:
-                side, other = tree.fundamental_partition(e)
-                cuts.append(SelectedCut((e.a, e.b), side, other, e.weight))
-            return LaminarDecomposition(t, directed, threshold, tuple(cuts),
-                                        blocks)
-        terminals = list(large[0][:t])
+    net = _Net(g)
+    terminals = _lowest_block(g, net, t,
+                              threshold // 2 if directed else threshold)
+    if terminals is not None:
+        return _route_thick_star(g, terminals, net)
+    # The cut tree builds networks of its own, and so does the fan below.
+    tree = build_gomory_hu(g.underlying() if directed else g)
+    selected = [e for e in tree.edges if e.weight < threshold]
+    blocks = tree.blocks_without(selected)
+    large = [b for b in blocks if len(b) >= t]
+    if not large:
+        cuts = []
+        for e in selected:
+            side, other = tree.fundamental_partition(e)
+            cuts.append(SelectedCut((e.a, e.b), side, other, e.weight))
+        return LaminarDecomposition(t, directed, threshold, tuple(cuts),
+                                    blocks)
+    terminals = list(large[0][:t])
     if directed:
         return extract_directed_clique_immersion(g, terminals)
     return extract_clique_immersion(g, terminals)

@@ -68,16 +68,19 @@ def admissible_split(
     d: MultiGraph,
     v: int,
     guard: list[tuple[int, int]],
+    baselines: dict[tuple[int, int], int] | None = None,
 ) -> tuple[int, int]:
     """First in/out edge pair at v (ascending ids) whose split leaves the
     directed connectivity of every guard pair unchanged.
 
     The guard is a list of ordered vertex pairs not involving v; (a, b) and
     (b, a) guard the same connectivity, as the input is Eulerian and so is
-    every split of it.  Each trial split is built with split_off and each
-    pair solved afresh on it.  For an Eulerian input a pair always exists;
-    running out of candidates means the preconditions were violated and
-    raises NoAdmissiblePairError.
+    every split of it.  `baselines`, when given, holds those connectivities
+    on d, keyed by (min, max) of each pair; otherwise they are solved here.
+    Each trial split is built with split_off and each pair solved afresh on
+    it.  For an Eulerian input a pair always exists; running out of
+    candidates means the preconditions were violated and raises
+    NoAdmissiblePairError.
     """
     if not d.directed:
         raise GraphError("admissible_split applies to digraphs")
@@ -93,13 +96,14 @@ def admissible_split(
     ins, outs = d.in_edges(v), d.out_edges(v)
     if not ins or not outs:
         raise GraphError(f"vertex {v} has no non-loop edges to split")
-    base = {(a, b): directed_edge_connectivity(d, a, b)
-            for a, b in {(min(a, b), max(a, b)) for a, b in guard}}
+    if baselines is None:
+        baselines = {(a, b): directed_edge_connectivity(d, a, b)
+                     for a, b in {(min(a, b), max(a, b)) for a, b in guard}}
     for ei in ins:
         for eo in outs:
             trial = split_off(d, ei.id, eo.id)
             if all(directed_edge_connectivity(trial, a, b) == value
-                   for (a, b), value in base.items()):
+                   for (a, b), value in baselines.items()):
                 return ei.id, eo.id
     raise NoAdmissiblePairError(v)
 
@@ -128,9 +132,12 @@ def reduce_to_terminals(d: MultiGraph, terminals) -> ReducedDigraph:
                    True, d.next_edge_id)
     prov = {e.id: (e.id,) for e in g.edges}
     guard = list(combinations(terms, 2))
+    # Every admissible split keeps these values, so they are solved once.
+    baselines = {(a, b): directed_edge_connectivity(g, a, b)
+                 for a, b in guard}
     for v in sorted(d.vertex_set - set(terms)):
         while g.in_edges(v):
-            e_in, e_out = admissible_split(g, v, guard)
+            e_in, e_out = admissible_split(g, v, guard, baselines)
             g = split_off(g, e_in, e_out)
             trail = prov.pop(e_in) + prov.pop(e_out)
             arc = g.edge(g.next_edge_id - 1)

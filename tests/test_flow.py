@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
@@ -21,7 +21,7 @@ from cliquecuts import (
     random_multigraph,
     thick_star,
 )
-from cliquecuts.flow import _net_for
+from cliquecuts.flow import _fan, _Net
 from strategies import digraphs, eulerian_digraphs, multigraphs
 
 graphs_or_digraphs = st.one_of(
@@ -257,14 +257,14 @@ class TestLimitedMaxFlow:
         lam = (brute.min_cut_directed(g, u, v) if g.directed
                else brute.min_cut_undirected(g, u, v))
         for k in range(lam + 2):
-            net = _net_for(g)
+            net = _Net(g)
             assert net.max_flow(u, v, limit=k) == min(k, lam)
             assert_feasible_flow(net, u, v, min(k, lam))
 
     def test_last_path_pushed_in_part(self):
         # One path of capacity 5: a limit of 3 takes 3 units of it.
         g = MultiGraph.undirected(3, [(0, 1)] * 5 + [(1, 2)] * 5)
-        net = _net_for(g)
+        net = _Net(g)
         assert net.max_flow(0, 2, limit=3) == 3
         assert_feasible_flow(net, 0, 2, 3)
         assert net.max_flow(0, 2) == 2
@@ -278,21 +278,21 @@ class TestReset:
     @pytest.mark.parametrize("seed", range(3))
     def test_reused_network_matches_fresh(self, seed):
         g = random_multigraph(12, 40, Random(seed))
-        net = _net_for(g)
+        net = _Net(g)
         for u, v in permutations(g.vertices, 2):
             net.reset()
-            fresh = _net_for(g)
+            fresh = _Net(g)
             assert net.max_flow(u, v) == fresh.max_flow(u, v)
             assert net.cut_side(u) == fresh.cut_side(u)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reused_network_matches_fresh_with_limit(self, seed):
         g = random_multigraph(12, 40, Random(seed))
-        net = _net_for(g)
+        net = _Net(g)
         for u, v in combinations(g.vertices, 2):
             for k in (1, 3):
                 net.reset()
-                fresh = _net_for(g)
+                fresh = _Net(g)
                 assert (net.max_flow(u, v, limit=k)
                         == fresh.max_flow(u, v, limit=k))
                 assert net.cut_side(u) == fresh.cut_side(u)
@@ -406,3 +406,108 @@ class TestMengerFan:
         for tr in fan:
             assert tr.start == source
             assert brute.trail_is_consistent(g, tr.edges, source, tr.end)
+
+
+def add_group_build(g):
+    """The reference network: an empty one filled one bundle at a time
+    through add_group, its vertices indexed as they first appear."""
+    net = _Net(MultiGraph((), (), g.directed))
+    bundles = {}
+    for e in g.edges:
+        if not e.is_loop():
+            bundles.setdefault((e.tail, e.head), []).append(e.id)
+    for (u, v), ids in bundles.items():
+        net.add_group(u, v, len(ids), 0 if g.directed else len(ids),
+                      tuple(ids))
+    return net
+
+
+@st.composite
+def gapped_graphs(draw):
+    """Graphs and digraphs with loops, parallel bundles and isolated
+    vertices; a contraction of up to three vertices leaves gaps in the
+    vertex ids and turns the edges inside it into loops."""
+    g = draw(graphs_or_digraphs)
+    block = draw(st.sets(st.sampled_from(g.vertices), max_size=3))
+    if len(block) > 1 and len(g.vertices) - len(block) >= 1:
+        g = g.contract(block)
+    return g
+
+
+# K6 with a loop at 0 and vertices 6 and 7 isolated.  Contracting {3, 5}
+# leaves a gap at 5, makes the edge 3-5 a second loop, and doubles every
+# other edge at 3; the many shortest paths make the search order matter.
+GAPPED = MultiGraph.undirected(
+    8, [(0, 0)] + list(combinations(range(6), 2))).contract({3, 5})
+
+
+def fan_outcome(fan, *args):
+    """The fan's trails, or the cut and demand of its FanInfeasible."""
+    try:
+        return fan(*args)
+    except FanInfeasible as exc:
+        return (exc.cut, exc.required)
+
+
+@st.composite
+def fan_requests(draw, g):
+    source = draw(st.sampled_from(g.vertices))
+    others = [v for v in g.vertices if v != source]
+    demands = draw(st.dictionaries(st.sampled_from(others),
+                                   st.integers(min_value=0, max_value=3),
+                                   max_size=3))
+    return source, demands
+
+
+class TestWholeListBuild:
+    """_Net(g), built in whole-list passes, behaves as the network built
+    one bundle at a time through add_group."""
+
+    def test_gapped_example_has_every_feature(self):
+        assert GAPPED.vertices == (0, 1, 2, 3, 4, 6, 7)
+        ends = [e.ends() for e in GAPPED.edges]
+        assert [e for e in ends if e[0] == e[1]] == [(0, 0), (3, 3)]
+        assert [ends.count((v, 3)) for v in (0, 1, 2)] == [2, 2, 2]
+
+    @given(gapped_graphs(), st.data())
+    @example(GAPPED, None).via("every feature at once")
+    @settings(max_examples=150)
+    def test_flows_match(self, g, data):
+        pairs = (permutations(g.vertices, 2) if data is None else [
+            data.draw(st.lists(st.sampled_from(g.vertices), min_size=2,
+                               max_size=2, unique=True))])
+        for u, v in pairs:
+            for limit in (None, 0, 1, 2):
+                bulk, ref = _Net(g), add_group_build(g)
+                assert (bulk.max_flow(u, v, limit)
+                        == ref.max_flow(u, v, limit))
+                # The same units on the same edge ids, in the same order.
+                assert list(bulk._flow_units()) == list(ref._flow_units())
+                assert bulk.cut_side(u) == ref.cut_side(u)
+                assert bulk.cut_side(v) == ref.cut_side(v)
+
+    @given(gapped_graphs(), st.data())
+    @settings(max_examples=150)
+    def test_fan_trails_match(self, g, data):
+        # The fan walks extract_trails over its flow, so equal trails mean
+        # equal flows arc by arc; an infeasible fan gives its cut.
+        source, demands = data.draw(fan_requests(g))
+        assert (fan_outcome(_fan, _Net(g), g, source, demands)
+                == fan_outcome(_fan, add_group_build(g), g, source, demands))
+
+    @given(gapped_graphs(), st.data())
+    @settings(max_examples=150)
+    def test_reused_network_fans_as_fresh(self, g, data):
+        # As in a decide: capped flows on one network, reset between them,
+        # then the fan on the same network, which resets it first.
+        net = _Net(g)
+        flows = data.draw(st.lists(st.tuples(
+            st.lists(st.sampled_from(g.vertices), min_size=2, max_size=2,
+                     unique=True),
+            st.integers(min_value=1, max_value=3)), max_size=3))
+        for (u, v), limit in flows:
+            net.reset()
+            net.max_flow(u, v, limit=limit)
+        source, demands = data.draw(fan_requests(g))
+        assert (fan_outcome(_fan, net, g, source, demands)
+                == fan_outcome(menger_fan, g, source, demands))

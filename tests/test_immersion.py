@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
-from cliquecuts import immersion
+from cliquecuts import flow, immersion
 from cliquecuts import (
     FanInfeasible,
     GraphError,
@@ -319,6 +319,37 @@ class TestBlockCheck:
         cert = decompose(host, t)
         assert isinstance(cert, ImmersionCertificate)
         assert cert.phi == tuple(range(t))
+        report = verify_certificate(host, cert)
+        assert report.ok, report.problem
+
+    @pytest.mark.usefixtures("no_tree")
+    @pytest.mark.parametrize("host, t, decompose", [
+        (complete_graph(5), 3, decompose_undirected),
+        (bidirected_complete(7), 3, decompose_directed),
+    ], ids=["undirected-K5", "bidirected-K7"])
+    def test_shared_block_builds_one_network(self, host, t, decompose,
+                                             monkeypatch):
+        # The block check's capped flows and the certificate's fan run on
+        # one network, and a directed host is checked Eulerian once.
+        nets, checks = [], []
+
+        class CountedNet(flow._Net):
+            def __init__(self, g):
+                nets.append(g)
+                super().__init__(g)
+        monkeypatch.setattr(flow, "_Net", CountedNet)
+        monkeypatch.setattr(immersion, "_Net", CountedNet)
+        is_eulerian = MultiGraph.is_eulerian
+
+        def counted(g):
+            checks.append(g)
+            return is_eulerian(g)
+        monkeypatch.setattr(MultiGraph, "is_eulerian", counted)
+        cert = decompose(host, t)
+        assert isinstance(cert, ImmersionCertificate)
+        assert len(nets) == 1 and nets[0] is host
+        assert len(checks) == host.directed
+        assert all(g is host for g in checks)
         report = verify_certificate(host, cert)
         assert report.ok, report.problem
 

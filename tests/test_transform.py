@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+from cliquecuts import transform
 from cliquecuts import (
     GraphError,
     MultiGraph,
@@ -183,8 +184,11 @@ class TestAdmissibleSplit:
         guard = data.draw(st.lists(
             st.sampled_from(pairs), max_size=4, unique=True)) if pairs else []
         baseline = {p: directed_edge_connectivity(d, *p) for p in guard}
-        assert admissible_split(d, v, guard) == reference_split(
-            d, v, guard, baseline)
+        expected = reference_split(d, v, guard, baseline)
+        assert admissible_split(d, v, guard) == expected
+        # The same baselines handed in, keyed by unordered pair.
+        unordered = {(min(p), max(p)): k for p, k in baseline.items()}
+        assert admissible_split(d, v, guard, unordered) == expected
 
     def test_rejects_unbalanced(self):
         d = MultiGraph.directed_graph(3, [(0, 1), (1, 2)])
@@ -283,6 +287,21 @@ class TestReduceToTerminals:
             seen.extend(trail)
         assert len(seen) == len(set(seen))
         assert set(seen) <= originals
+
+    def test_baselines_solved_once(self, monkeypatch):
+        # Every split hands admissible_split the one baseline table that
+        # the reduction solved before its first split.
+        tables = []
+
+        def spy(d, v, guard, baselines=None):
+            tables.append(baselines)
+            return admissible_split(d, v, guard, baselines)
+        monkeypatch.setattr(transform, "admissible_split", spy)
+        d = bidirected_triangle()
+        reduce_to_terminals(d, [0, 2])
+        assert len(tables) == 2
+        assert tables[0] is tables[1]
+        assert tables[0] == {(0, 2): directed_edge_connectivity(d, 0, 2)}
 
     @given(eulerian_digraphs(max_n=7, max_cycles=5, max_copies=3), st.data())
     @settings(max_examples=80, deadline=None)
