@@ -7,6 +7,10 @@ complete graph on t vertices: an injective vertex map plus pairwise
 edge-disjoint trails.  The directed pipeline does the same on Eulerian
 digraphs with threshold 2t(t-1) and the bidirected clique as pattern.
 
+The cuts are the cut tree's light edges, so they form a forest on the
+blocks: a cut is its tree edge (a, b) and its size, and its sides are the
+blocks on either side of that edge.  So an artifact is O(n + cuts).
+
 The certificate's terminals are the t smallest members of the first block
 of at least t vertices, a block being a class of "min cut >= threshold".
 When the t lowest vertices of the host share a block, t-1 flows capped at
@@ -30,7 +34,7 @@ certificate direction is definite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator
 
 from .flow import Trail, _fan, _Net, menger_fan
@@ -71,9 +75,10 @@ def pattern_edges(t: int, directed: bool) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class SelectedCut:
+    """One light cut-tree edge (a, b), a < b.  Its `size` edges cross
+    between the blocks on a's side of the block forest and those on b's."""
+
     tree_edge: tuple[int, int]
-    side: frozenset
-    other: frozenset
     size: int
 
 
@@ -303,12 +308,8 @@ def _pipeline(g: MultiGraph, t: int, directed: bool):
     blocks = tree.blocks_without(selected)
     large = [b for b in blocks if len(b) >= t]
     if not large:
-        cuts = []
-        for e in selected:
-            side, other = tree.fundamental_partition(e)
-            cuts.append(SelectedCut((e.a, e.b), side, other, e.weight))
-        return LaminarDecomposition(t, directed, threshold, tuple(cuts),
-                                    blocks)
+        cuts = tuple(SelectedCut((e.a, e.b), e.weight) for e in selected)
+        return LaminarDecomposition(t, directed, threshold, cuts, blocks)
     terminals = list(large[0][:t])
     if directed:
         return extract_directed_clique_immersion(g, terminals)
@@ -409,15 +410,17 @@ def verify_certificate(host: MultiGraph, cert: ImmersionCertificate) -> Verifica
 
 def verify_decomposition(g: MultiGraph,
                          dec: LaminarDecomposition) -> VerificationReport:
-    """Recheck a decomposition from scratch: threshold arithmetic, each cut
-    splitting one component with its tree edge joining the two sides,
-    laminarity with no cut listed twice, an exact recount of each cut
-    below threshold, blocks partitioning the vertex set with fewer than t
-    vertices each, and the blocks being exactly the classes left after all
-    the cuts.
+    """Recheck a decomposition from scratch: threshold arithmetic; blocks
+    partitioning the vertex set, each inside one component with fewer than
+    t vertices; each cut's tree edge (a, b) having a < b and joining two
+    blocks of one component; the cuts forming one tree on each component's
+    blocks; and an exact recount of each cut below threshold.
 
-    The laminarity pass leaves the cuts' inner sides as a forest, and one
-    walk per host edge, between the innermost sides of its two ends,
+    A cut's sides are the blocks on either side of its forest edge, so the
+    cuts cannot cross or repeat, and the blocks are exactly the classes
+    they leave.  A cut that closes a cycle fails before any recount.  Each
+    block tree is rooted at the block of its component's smallest vertex,
+    and one walk per host edge, between the blocks of its two ends,
     recounts every cut at once, so the recount costs the sum of the actual
     cut sizes."""
 
@@ -433,63 +436,75 @@ def verify_decomposition(g: MultiGraph,
     if dec.threshold != want:
         return fail(f"threshold {dec.threshold} should be {want}")
     parts = g.components()
-    comps = [frozenset(c) for c in parts]
-    comp_of = {v: i for i, c in enumerate(comps) for v in c}
-    vset = g.vertex_set
-    # Each cut's side that avoids its component's smallest vertex.
-    inner: list[frozenset] = []
+    comp_of = {v: i for i, c in enumerate(parts) for v in c}
+    block_of: dict[int, int] = {}
+    for i, block in enumerate(dec.blocks):
+        if not 0 < len(block) < t:
+            return fail(f"block {block} has {len(block)} vertices, limit {t - 1}")
+        home = comp_of.get(block[0])
+        for v in block:
+            if v in block_of or v not in comp_of:
+                return fail(f"blocks do not partition the vertex set (at {v})")
+            if comp_of[v] != home:
+                return fail(f"block {block} meets two components")
+            block_of[v] = i
+    if len(block_of) != len(comp_of):
+        return fail("blocks do not cover the vertex set")
+    # Joined blocks share a root in a union-find, so a cut joining two
+    # blocks already joined closes a cycle.
+    root = list(range(len(dec.blocks)))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]     # path halving
+            x = root[x]
+        return x
+
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in dec.blocks]
     for idx, cut in enumerate(dec.cuts):
-        x, y = cut.side, cut.other
-        both = x | y
-        if not x or not y or not x.isdisjoint(y) or not both <= vset:
-            return fail(f"cut {idx} has a malformed bipartition")
-        ci = comp_of[next(iter(x))]
-        if both != comps[ci]:
-            return fail(f"cut {idx} does not split a single component")
         a, b = cut.tree_edge
-        if a not in x or b not in y:
-            return fail(f"cut {idx} tree edge {cut.tree_edge} does not run "
-                        f"from its side to its other side")
-        inner.append(y if parts[ci][0] in x else x)
-    # Two cuts of one component are uncrossed exactly when their inner
-    # sides are nested or disjoint, and inner sides of different
-    # components are disjoint.  Taken largest first, a side that keeps the
-    # family laminar lies inside the innermost earlier side of any one of
-    # its vertices, so all its vertices must agree on that side.
-    innermost: dict[int, int] = {}
-    # The innermost earlier side holding each side is its parent; None,
-    # at depth -1, is the root of every component.
-    parent: dict[int, int | None] = {}
-    depth: dict[int | None, int] = {None: -1}
-    for i in sorted(range(len(inner)), key=lambda i: -len(inner[i])):
-        side = inner[i]
-        owners = {innermost.get(v) for v in side}
-        if len(owners) > 1:
-            v = min(side)
-            w = min(u for u in side if innermost.get(u) != innermost.get(v))
-            # An earlier side holding only one of v and w meets this one
-            # and is no smaller, so the two cross.
-            j = next(k for k in (innermost.get(v), innermost.get(w))
-                     if k is not None and not {v, w} <= inner[k])
-            return fail(f"cuts {min(i, j)} and {max(i, j)} cross")
-        j = owners.pop()
-        if j is not None and len(inner[j]) == len(side):
-            return fail(f"cuts {j} and {i} are the same cut")
-        parent[i] = j
-        depth[i] = depth[j] + 1
-        for v in side:
-            innermost[v] = i
-    # An edge crosses exactly the inner sides that hold one end but not
-    # the other: those passed stepping up from its ends' innermost sides,
-    # the deeper first, until the two meet.
-    crossing = [0] * len(inner)
+        if not (a < b and a in comp_of and b in comp_of):
+            return fail(f"cut {idx} tree edge {cut.tree_edge} is not two "
+                        f"increasing vertices")
+        if comp_of[a] != comp_of[b]:
+            return fail(f"cut {idx} tree edge {cut.tree_edge} joins two components")
+        x, y = block_of[a], block_of[b]
+        if x == y:
+            return fail(f"cut {idx} tree edge {cut.tree_edge} lies in one block")
+        nbrs[x].append((y, idx))
+        nbrs[y].append((x, idx))
+        x, y = find(x), find(y)
+        if x == y:
+            return fail(f"cut {idx} closes a cycle of cuts")
+        root[x] = y
+    # Without cycles, and with every cut inside a component, this many
+    # cuts make each component's blocks one tree.
+    if len(dec.cuts) != len(dec.blocks) - len(parts):
+        return fail(f"{len(dec.cuts)} cuts for {len(dec.blocks)} blocks in "
+                    f"{len(parts)} components")
+    # Each block's parent block, the cut between them, and its depth.
+    up = [0] * len(dec.blocks)
+    via = [0] * len(dec.blocks)
+    depth = [-1] * len(dec.blocks)
+    for comp in parts:
+        order = [block_of[comp[0]]]
+        depth[order[0]] = 0
+        for x in order:
+            for y, idx in nbrs[x]:
+                if depth[y] < 0:
+                    up[y], via[y], depth[y] = x, idx, depth[x] + 1
+                    order.append(y)
+    # An edge crosses exactly the cuts on the tree path between its ends'
+    # blocks: those passed stepping up from the deeper end until the two
+    # meet.
+    crossing = [0] * len(dec.cuts)
     for _, tail, head in g.edges:
-        a, b = innermost.get(tail), innermost.get(head)
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            crossing[a] += 1
-            a = parent[a]
+        x, y = block_of[tail], block_of[head]
+        while x != y:
+            if depth[x] < depth[y]:
+                x, y = y, x
+            crossing[via[x]] += 1
+            x = up[x]
     for idx, cut in enumerate(dec.cuts):
         size = crossing[idx]
         if size != cut.size:
@@ -498,22 +513,6 @@ def verify_decomposition(g: MultiGraph,
             )
         if size >= want:
             return fail(f"cut {idx} has size {size}, not below {want}")
-    seen: set[int] = set()
-    for block in dec.blocks:
-        if len(block) >= t:
-            return fail(f"block {block} has {len(block)} vertices, limit {t - 1}")
-        for v in block:
-            if v not in vset or v in seen:
-                return fail(f"blocks do not partition the vertex set (at {v})")
-            seen.add(v)
-    if seen != vset:
-        return fail("blocks do not cover the vertex set")
-    # A vertex's innermost side names every side that holds it.
-    classes: dict[tuple, set] = {}
-    for v in vset:
-        classes.setdefault((comp_of[v], innermost.get(v)), set()).add(v)
-    if {frozenset(b) for b in dec.blocks} != {frozenset(c) for c in classes.values()}:
-        return fail("blocks do not match the classes induced by the cuts")
     return VerificationReport(True)
 
 
@@ -615,15 +614,8 @@ def outcome_to_json(outcome) -> dict:
             "t": outcome.t,
             "directed": outcome.directed,
             "threshold": outcome.threshold,
-            "cuts": [
-                {
-                    "tree_edge": list(c.tree_edge),
-                    "size": c.size,
-                    "side": sorted(c.side),
-                    "other": sorted(c.other),
-                }
-                for c in outcome.cuts
-            ],
+            "cuts": [{"tree_edge": list(c.tree_edge), "size": c.size}
+                     for c in outcome.cuts],
             "blocks": [list(b) for b in outcome.blocks],
         }
     raise GraphError(f"cannot serialize {type(outcome).__name__}")
@@ -676,16 +668,12 @@ def outcome_from_json(obj) -> ImmersionCertificate | LaminarDecomposition:
                 tuple(_ints(obj["phi"])), trails,
             )
         if kind == "decomposition":
-            cuts = tuple(
-                SelectedCut(
-                    _pair(c["tree_edge"]),
-                    frozenset(_ints(c["side"])),
-                    frozenset(_ints(c["other"])),
-                    _int(c["size"]),
-                )
-                for c in obj["cuts"]
-            )
-            blocks = tuple(tuple(_ints(b)) for b in obj["blocks"])
+            # Keys a cut does not name, such as the side/other lists of
+            # older artifacts, are neither read nor trusted.
+            cuts = tuple(SelectedCut(_pair(c["tree_edge"]), _int(c["size"]))
+                         for c in obj["cuts"])
+            blocks = tuple(map(tuple, obj["blocks"]))
+            _ints(tuple(chain.from_iterable(blocks)))     # one test for all
             return LaminarDecomposition(
                 _int(obj["t"]), _bool(obj["directed"]), _int(obj["threshold"]),
                 cuts, blocks,

@@ -182,17 +182,6 @@ def first_crossing_pair(g: MultiGraph, sides: list) -> tuple[int, int] | None:
     return None
 
 
-def cut_classes(g: MultiGraph, sides) -> set[frozenset]:
-    """Vertex classes left by the cuts: two vertices share a class when
-    they share a component and lie on the same side of every cut."""
-    comp_of = {v: i for i, c in enumerate(g.components()) for v in c}
-    classes: dict[tuple, set] = {}
-    for v in g.vertices:
-        key = (comp_of[v],) + tuple(v in s for s in sides)
-        classes.setdefault(key, set()).add(v)
-    return {frozenset(c) for c in classes.values()}
-
-
 def parse_graph(text: str) -> MultiGraph:
     """The edge-list format read one line at a time: the reference that
     cliquecuts.parse_graph must match on every text, graph and error

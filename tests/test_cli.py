@@ -9,9 +9,11 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -22,12 +24,17 @@ import brute
 import cliquecuts.cli
 import cliquecuts.immersion
 from cliquecuts import (
+    LaminarDecomposition,
     MultiGraph,
+    SelectedCut,
+    TreeEdge,
     build_gomory_hu,
     decompose_undirected,
+    outcome_from_json,
     outcome_to_json,
     parse_graph,
     serialize_graph,
+    verify_decomposition,
 )
 from cliquecuts.cli import main
 from cliquecuts.graphs import SIZE_LIMIT
@@ -218,6 +225,32 @@ class TestVerify:
                    "--artifact", art) == code
         assert "decomposition OK" not in capsys.readouterr().out
 
+    def test_path_artifact_is_linear(self, workdir, capsys):
+        # A 2000-vertex path with two parallel edges per step, at t = 3:
+        # each of its 1999 cuts writes one tree edge and one size, so the
+        # artifact holds n + 3 * cuts integers, t and the threshold aside.
+        n = 2000
+        g = MultiGraph.undirected(n, [(v, v + 1) for v in range(n - 1)] * 2)
+        cuts = tuple(SelectedCut((v, v + 1), 2) for v in range(n - 1))
+        dec = LaminarDecomposition(3, False, 4, cuts,
+                                   tuple((v,) for v in range(n)))
+        text = json.dumps(outcome_to_json(dec))
+        assert len(re.findall(r"\d+", text)) <= n + 3 * len(cuts) + 10
+        assert len(text) < 100_000
+        start = time.perf_counter()
+        report = verify_decomposition(g, outcome_from_json(json.loads(text)))
+        elapsed = time.perf_counter() - start
+        assert report.ok, report.problem
+        assert elapsed < 0.1
+        (workdir / "path.txt").write_text(serialize_graph(g))
+        (workdir / "path.json").write_text(text)
+        start = time.perf_counter()
+        code = run("verify-dec", "--in", workdir / "path.txt",
+                   "--artifact", workdir / "path.json")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert elapsed < 1.5
+
     def test_artifact_kind_must_match_command(self, workdir, capsys):
         art = self._decompose(workdir, workdir / "k5.txt", 3, "undirected")
         code = run("verify-dec", "--in", workdir / "k5.txt", "--artifact", art)
@@ -273,20 +306,21 @@ class TestStrictArtifacts:
     def test_exact_decomposition_verifies(self, workdir, capsys):
         assert self._verify_dec(workdir) == 0
 
-    # Cut 2 of BRIDGE_T3 has side [0, 1, 2]; cut 0 has other [1, ..., 5].
+    # A cut's tree edge [a, b] has a on its side and b on its other side:
+    # the ids name the end written over.
     @pytest.mark.parametrize("bad", [True, 1.0, "1", None],
                              ids=["true", "float", "string", "null"])
     @pytest.mark.parametrize("path", [
-        ("cuts", 2, "side", 1), ("cuts", 0, "other", 3), ("blocks", 4, 0),
-    ], ids=["side", "other", "block"])
+        ("cuts", 2, "tree_edge", 0), ("cuts", 0, "tree_edge", 1),
+        ("cuts", 1, "size"), ("blocks", 4, 0),
+    ], ids=["side", "other", "size", "block"])
     def test_coercible_vertex_lists_rejected(self, workdir, capsys, path, bad):
         assert self._verify_dec(workdir, path, bad) == 2
         err = capsys.readouterr().err
         assert f"malformed artifact document: {bad!r} is not an integer" in err
 
     def test_first_bad_vertex_named(self, workdir, capsys):
-        side = ("cuts", 2, "side")
-        assert self._verify_dec(workdir, side, [0, "1", 2.0]) == 2
+        assert self._verify_dec(workdir, ("blocks", 0), [0, "1", 2.0]) == 2
         err = capsys.readouterr().err
         assert "'1' is not an integer" in err and "2.0" not in err
 
@@ -299,6 +333,28 @@ class TestStrictArtifacts:
             doc = doc[key]
         assert self._verify_dec(workdir, path, float(doc)) == 2
         assert "malformed artifact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("forge", [
+        None,
+        lambda cut: cut.update(side=cut["other"], other=cut["side"]),
+        lambda cut: cut.update(side=[999], other="not a side"),
+    ], ids=["exact", "swapped", "garbage"])
+    def test_older_format_verifies_on_its_tree_edges(self, workdir, capsys,
+                                                      forge):
+        # Older artifacts also list each cut's two vertex sides.  Those are
+        # neither read nor trusted: forging them changes no verdict.
+        doc = copy.deepcopy(BRIDGE_T3)
+        tree = build_gomory_hu(bridge_of_triangles())
+        for cut in doc["cuts"]:
+            side, other = tree.fundamental_partition(
+                TreeEdge(*cut["tree_edge"], cut["size"]))
+            cut["side"], cut["other"] = sorted(side), sorted(other)
+            if forge:
+                forge(cut)
+        assert self._verify_dec(workdir, ("cuts",), doc["cuts"]) == 0
+        doc["cuts"][2]["size"] += 1
+        assert self._verify_dec(workdir, ("cuts",), doc["cuts"]) == 1
+        assert "cut 2 recount mismatch" in capsys.readouterr().out
 
 
 # (command, host text, valid artifact) for the fuzzing below.

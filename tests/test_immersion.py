@@ -12,7 +12,7 @@ from bisect import bisect_left, insort
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
@@ -48,18 +48,75 @@ from test_transform import bidirected_triangle, directed_cycle
 
 
 @st.composite
-def cut_families(draw):
-    """A small multigraph and (side, other) pairs, each splitting one of
-    its components; crossing and laminar families both occur."""
-    g = draw(multigraphs(max_n=7, max_m=10))
-    comps = [c for c in g.components() if len(c) > 1]
-    sides = []
-    for _ in range(draw(st.integers(0, 6)) if comps else 0):
-        comp = draw(st.sampled_from(comps))
-        side = frozenset(draw(st.sets(st.sampled_from(comp), min_size=1,
-                                      max_size=len(comp) - 1)))
-        sides.append((side, frozenset(comp) - side))
-    return g, sides
+def block_forests(draw):
+    """A small host, a partition of its vertices into blocks of one to
+    three vertices, tree edges (a, b) with a < b, a clique order t, and a
+    size offset per edge.  In half the cases the blocks are split by
+    component and each component's blocks are joined by a random spanning
+    tree, which is then perturbed at most once; otherwise the edges are
+    random vertex pairs."""
+    g = draw(st.one_of(multigraphs(max_n=7, max_m=10),
+                       eulerian_digraphs(max_n=7, max_cycles=4)))
+    spanning = draw(st.booleans())
+    comp_of = {v: i for i, c in enumerate(g.components()) for v in c}
+    order = draw(st.permutations(g.vertices))
+    blocks = []
+    while order:
+        k = draw(st.integers(1, 3))
+        chunk, order = order[:k], order[k:]
+        for c in sorted({comp_of[v] for v in chunk}) if spanning else [None]:
+            blocks.append(tuple(sorted(
+                v for v in chunk if c is None or comp_of[v] == c)))
+    if spanning:
+        edges = []
+        for c in range(len(set(comp_of.values()))):
+            mine = [b for b in blocks if comp_of[b[0]] == c]
+            for j in range(1, len(mine)):
+                ends = (draw(st.sampled_from(mine[j])), draw(st.sampled_from(
+                    mine[draw(st.integers(0, j - 1))])))
+                edges.append(tuple(sorted(ends)))
+        perturb = draw(st.sampled_from(["none", "none", "drop", "add"]))
+        if perturb == "drop" and edges:
+            edges.pop(draw(st.integers(0, len(edges) - 1)))
+        elif perturb == "add" and len(blocks) > 1:
+            x, y = draw(st.permutations(range(len(blocks))))[:2]
+            ends = (draw(st.sampled_from(blocks[x])),
+                    draw(st.sampled_from(blocks[y])))
+            edges.append(tuple(sorted(ends)))
+    else:
+        pairs = list(itertools.combinations(g.vertices, 2))
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=len(blocks))
+                     ) if pairs else []
+    edges = draw(st.permutations(edges))
+    # Blocks of t vertices occur, but do not hide every other check.
+    t = max(2, max(map(len, blocks), default=1) + draw(st.integers(0, 2)))
+    offsets = draw(st.lists(st.sampled_from([0, 0, 0, -1, 1]),
+                            min_size=len(edges), max_size=len(edges)))
+    return g, tuple(blocks), edges, t, offsets
+
+
+def joined_blocks(blocks, edges, start):
+    """Indices of the blocks that `edges` join to block `start`."""
+    block_of = {v: i for i, blk in enumerate(blocks) for v in blk}
+    seen, stack = {start}, [start]
+    while stack:
+        x = stack.pop()
+        for a, b in edges:
+            for p, q in ((block_of[a], block_of[b]), (block_of[b], block_of[a])):
+                if p == x and q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+    return seen
+
+
+def forest_side(blocks, edges, idx):
+    """The vertices of the blocks on a's side of edge idx = (a, b) in the
+    forest that `edges` make on the blocks."""
+    block_of = {v: i for i, blk in enumerate(blocks) for v in blk}
+    rest = edges[:idx] + edges[idx + 1:]
+    return frozenset(v for i in joined_blocks(blocks, rest,
+                                              block_of[edges[idx][0]])
+                     for v in blocks[i])
 
 
 def bidirected(n, pairs):
@@ -628,7 +685,7 @@ class TestVerifyDecomposition:
         g = bridge_of_triangles()
         dec = decompose_undirected(g, 3)
         cut = dec.cuts[0]
-        forged = SelectedCut(cut.tree_edge, cut.side, cut.other, cut.size - 1)
+        forged = replace(cut, size=cut.size - 1)
         bad = LaminarDecomposition(
             dec.t, dec.directed, dec.threshold, (forged,) + dec.cuts[1:],
             dec.blocks,
@@ -638,15 +695,15 @@ class TestVerifyDecomposition:
         assert "recount" in report.problem
 
     def test_crossing_cuts_rejected(self):
-        g = MultiGraph.undirected(4, [(0, 1), (1, 2), (2, 3)])
-        cuts = (
-            SelectedCut((1, 2), frozenset({0, 1}), frozenset({2, 3}), 1),
-            SelectedCut((2, 3), frozenset({1, 2}), frozenset({0, 3}), 2),
-        )
+        # The crossing cuts {0, 1} | {2, 3} and {1, 2} | {0, 3} of a 4-cycle
+        # leave four singleton blocks; the cuts around the cycle that would
+        # join them close a cycle at the fourth.
+        g = MultiGraph.undirected(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        cuts = tuple(SelectedCut(pair, 2)
+                     for pair in ((0, 1), (1, 2), (2, 3), (0, 3)))
         bad = LaminarDecomposition(3, False, 4, cuts, ((0,), (1,), (2,), (3,)))
         report = verify_decomposition(g, bad)
-        assert not report.ok
-        assert "cross" in report.problem
+        assert report.problem == "cut 3 closes a cycle of cuts"
 
     def test_oversized_block_rejected(self):
         g = MultiGraph.undirected(3, [])
@@ -704,8 +761,37 @@ class TestVerifyDecomposition:
         dec = decompose_undirected(g, 3)
         a, b = dec.cuts[0].tree_edge
         report = verify_decomposition(g, self._first_tree_edge(dec, (b, a)))
-        assert not report.ok
-        assert "cut 0 tree edge" in report.problem
+        assert report.problem == (
+            f"cut 0 tree edge {(b, a)} is not two increasing vertices")
+
+    def test_tree_edge_inside_one_block_rejected(self):
+        g = MultiGraph.undirected(3, [(0, 1), (1, 2)])
+        dec = LaminarDecomposition(3, False, 4, (SelectedCut((0, 1), 1),),
+                                   ((0, 1), (2,)))
+        report = verify_decomposition(g, dec)
+        assert report.problem == "cut 0 tree edge (0, 1) lies in one block"
+
+    def test_cut_between_components_rejected(self):
+        g = MultiGraph.undirected(2, [])
+        dec = LaminarDecomposition(3, False, 4, (SelectedCut((0, 1), 0),),
+                                   ((0,), (1,)))
+        report = verify_decomposition(g, dec)
+        assert report.problem == "cut 0 tree edge (0, 1) joins two components"
+
+    def test_block_across_components_rejected(self):
+        g = MultiGraph.undirected(4, [(0, 1), (2, 3)])
+        dec = LaminarDecomposition(3, False, 4, (SelectedCut((0, 1), 1),),
+                                   ((0, 2), (1,), (3,)))
+        report = verify_decomposition(g, dec)
+        assert report.problem == "block (0, 2) meets two components"
+
+    def test_missing_cut_rejected(self):
+        g = bridge_of_triangles()
+        dec = decompose_undirected(g, 3)
+        report = verify_decomposition(g, replace(dec, cuts=dec.cuts[1:]))
+        assert report.problem == (
+            f"{len(dec.cuts) - 1} cuts for {len(dec.blocks)} blocks in "
+            f"1 components")
 
     def test_long_path_checked_in_one_pass(self):
         # 799 nested unit cuts of an 800-vertex path: a pairwise laminarity
@@ -713,11 +799,7 @@ class TestVerifyDecomposition:
         n = 800
         g = MultiGraph.undirected(n, [(v, v + 1) for v in range(n - 1)])
         vs = list(range(n))
-        cuts = tuple(
-            SelectedCut((v, v + 1), frozenset(vs[:v + 1]),
-                        frozenset(vs[v + 1:]), 1)
-            for v in range(n - 1)
-        )
+        cuts = tuple(SelectedCut((v, v + 1), 1) for v in range(n - 1))
         dec = LaminarDecomposition(3, False, 4, cuts, tuple((v,) for v in vs))
         start = time.perf_counter()
         report = verify_decomposition(g, dec)
@@ -733,12 +815,7 @@ class TestVerifyDecomposition:
         pairs = [(v, v + 1) for v in range(0, n, 2)] * bundle
         pairs += [(v, v + 1) for v in range(1, n - 1, 2)]
         g = MultiGraph.undirected(n, pairs)
-        vs = list(range(n))
-        cuts = tuple(
-            SelectedCut((v, v + 1), frozenset(vs[:v + 1]),
-                        frozenset(vs[v + 1:]), 1)
-            for v in range(1, n - 1, 2)
-        )
+        cuts = tuple(SelectedCut((v, v + 1), 1) for v in range(1, n - 1, 2))
         blocks = tuple((v, v + 1) for v in range(0, n, 2))
         dec = LaminarDecomposition(3, False, 4, cuts, blocks)
         assert (g.edge_count, len(cuts)) == (50999, 999)
@@ -767,8 +844,10 @@ class TestVerifyDecomposition:
                 continue
             report = verify_decomposition(g, dec)
             assert report.ok, report.problem
+            edges = [cut.tree_edge for cut in dec.cuts]
             for idx, cut in enumerate(dec.cuts):
-                actual = brute.cut_size(g, cut.side)
+                actual = brute.cut_size(
+                    g, forest_side(dec.blocks, edges, idx))
                 for recorded in (cut.size - 1, cut.size + 1):
                     cuts = list(dec.cuts)
                     cuts[idx] = replace(cut, size=recorded)
@@ -785,56 +864,56 @@ class TestVerifyDecomposition:
         dec = decompose_undirected(g, 3)
         cuts = dec.cuts + dec.cuts[:1]
         report = verify_decomposition(g, replace(dec, cuts=cuts))
-        assert report.problem == f"cuts 0 and {len(dec.cuts)} are the same cut"
+        assert report.problem == f"cut {len(dec.cuts)} closes a cycle of cuts"
 
     def test_repeated_cuts_rejected_before_recounts(self):
         # Recounting every copy costs copies x edges: a short artifact
         # could make the check as slow as it likes.
         g = MultiGraph.undirected(2, [(0, 1)] * 20000)
-        cut = SelectedCut((0, 1), frozenset({0}), frozenset({1}), 20000)
+        cut = SelectedCut((0, 1), 20000)
         dec = LaminarDecomposition(200, False, cut_threshold(200, False),
                                    (cut,) * 2000, ((0,), (1,)))
         start = time.perf_counter()
         report = verify_decomposition(g, dec)
         elapsed = time.perf_counter() - start
-        assert report.problem == "cuts 0 and 1 are the same cut"
+        assert report.problem == "cut 1 closes a cycle of cuts"
         assert elapsed < 1.5
 
-    @given(cut_families())
-    # A side meeting a nested pair {1, 2, 3} in {1, ..., 5}: it crosses
-    # the inner one only.
-    @example((MultiGraph.undirected(6, [(v, v + 1) for v in range(5)]), [
-        (frozenset({0}), frozenset({1, 2, 3, 4, 5})),
-        (frozenset({0, 4, 5}), frozenset({1, 2, 3})),
-        (frozenset({3, 4, 5}), frozenset({0, 1, 2})),
-    ]))
+    @given(block_forests())
     @settings(max_examples=300, deadline=None)
-    def test_laminarity_agrees_with_pairwise_reference(self, case):
-        g, sides = case
-        # t above n and m: no block is too large, no cut reaches threshold.
-        t = len(g.vertices) + g.edge_count + 1
-        cuts = tuple(
-            SelectedCut((min(x), min(y)), x, y, brute.cut_size(g, x))
-            for x, y in sides
-        )
-        blocks = tuple(sorted(
-            tuple(sorted(c))
-            for c in brute.cut_classes(g, [x for x, _ in sides])))
-        dec = LaminarDecomposition(t, False, cut_threshold(t, False), cuts,
-                                   blocks)
+    def test_forest_agrees_with_reference(self, case):
+        # Accepted exactly when the edges join each component's blocks in
+        # one tree, each recorded size is brute.cut_size of the blocks on
+        # one side of its edge, and sizes and blocks are below the limits.
+        g, blocks, edges, t, offsets = case
+        threshold = cut_threshold(t, g.directed)
+        comp = {v: brute.reachable(g, v) for v in g.vertices}
+        block_of = {v: i for i, blk in enumerate(blocks) for v in blk}
+        comps = {comp[v] for v in g.vertices}
+        ok = (all(len(blk) < t and len({comp[v] for v in blk}) == 1
+                  for blk in blocks)
+              and all(comp[a] == comp[b] and block_of[a] != block_of[b]
+                      for a, b in edges)
+              and len(edges) == len(blocks) - len(comps)
+              and all(len(joined_blocks(blocks, edges, block_of[min(c)]))
+                      == sum(1 for blk in blocks if blk[0] in c)
+                      for c in comps))
+        sizes = list(offsets)
+        if ok:
+            for idx, offset in enumerate(offsets):
+                actual = brute.cut_size(g, forest_side(blocks, edges, idx))
+                sizes[idx] += actual
+                ok = ok and offset == 0 and actual < threshold
+        cuts = tuple(map(SelectedCut, edges, sizes))
+        dec = LaminarDecomposition(t, g.directed, threshold, cuts, blocks)
         report = verify_decomposition(g, dec)
-        laminar = brute.first_crossing_pair(g, [x for x, _ in sides]) is None
-        distinct = len({frozenset(pair) for pair in sides}) == len(sides)
-        assert report.ok == (laminar and distinct), report.problem
-        if not report.ok:
-            named = re.fullmatch(r"cuts (\d+) and (\d+) (cross|are the same cut)",
-                                 report.problem)
-            i, j = int(named[1]), int(named[2])
-            if named[3] == "cross":
-                assert brute.first_crossing_pair(
-                    g, [sides[i][0], sides[j][0]]) == (0, 1)
-            else:
-                assert i < j and set(sides[i]) == set(sides[j])
+        assert report.ok == ok, report.problem
+        cycle = re.fullmatch(r"cut (\d+) closes a cycle of cuts",
+                             report.problem or "")
+        if cycle:
+            i = int(cycle[1])
+            a, b = edges[i]
+            assert block_of[b] in joined_blocks(blocks, edges[:i], block_of[a])
 
 
 class TestUncrossing:
@@ -1035,7 +1114,8 @@ class TestOutcomeJson:
     @pytest.mark.parametrize("path, value", [
         (("threshold",), 4.0),
         (("cuts", 0, "size"), True),
-        (("cuts", 0, "side", 0), "0"),
+        # "side" names the tree edge's first end, on the cut's a side.
+        (("cuts", 0, "tree_edge", 0), "0"),
         (("cuts", 0, "tree_edge", 1), 2.5),
         (("cuts", 0, "tree_edge"), [1, 2, 7]),
         (("blocks", 0, 0), None),
