@@ -118,6 +118,12 @@ class _Net:
         self._adj[ui].append(a)
         self._adj[vi].append(a + 1)
 
+    def out_capacity(self, v: int) -> int:
+        """Total capacity of the arcs leaving v: its non-loop degree on a
+        graph, its out-degree on a digraph."""
+        init = self._init
+        return sum(init[a] for a in self._adj[self._index[v]])
+
     def reset(self) -> None:
         """Undo every flow pushed so far, so the network serves a new pair."""
         self._res[:] = self._init

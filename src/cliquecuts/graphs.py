@@ -8,7 +8,6 @@ name edges that no longer exist in the current graph.
 from __future__ import annotations
 
 import re
-from collections import deque
 from itertools import repeat
 from operator import ge, gt, itemgetter
 from typing import Iterable, NamedTuple
@@ -189,26 +188,25 @@ class MultiGraph:
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Weakly connected components as sorted tuples, ordered by smallest
         member."""
+        # A loop lists its vertex as its own neighbour, which the search
+        # has already seen, so loops need no test.
         adj: dict[int, list[int]] = {v: [] for v in self._vertices}
-        for e in self._edges.values():
-            if not e.is_loop():
-                adj[e.tail].append(e.head)
-                adj[e.head].append(e.tail)
+        for _, tail, head in self._edges.values():
+            adj[tail].append(head)
+            adj[head].append(tail)
         seen: set[int] = set()
         out = []
         for start in self._vertices:
             if start in seen:
                 continue
-            comp = []
-            queue = deque([start])
             seen.add(start)
-            while queue:
-                x = queue.popleft()
-                comp.append(x)
+            # The loop also visits the vertices appended while it runs.
+            comp = [start]
+            for x in comp:
                 for y in adj[x]:
                     if y not in seen:
                         seen.add(y)
-                        queue.append(y)
+                        comp.append(y)
             out.append(tuple(sorted(comp)))
         return tuple(out)
 

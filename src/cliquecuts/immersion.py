@@ -13,19 +13,24 @@ blocks on either side of that edge.  So an artifact is O(n + cuts).
 
 The certificate's terminals are the t smallest members of the first block
 of at least t vertices, a block being a class of "min cut >= threshold".
-When the t lowest vertices of the host share a block, t-1 flows capped at
-the threshold show it and no cut tree is built; otherwise the cut tree
-gives the blocks.  On an Eulerian digraph those flows run on the digraph
-itself, capped at half the threshold, since each two-way cut is twice the
-directed one; the underlying graph is built only for the cut tree.
-Either way the certificate is routed through one Menger fan out of the
-first terminal, which checks its own feasibility.
+A vertex of degree below the threshold is a block of its own, so a scan
+in ascending order skips those, takes the first other vertex as its root
+and runs one flow capped at the threshold from the root to each later
+one.  When t vertices reach the cap, the root's block is the first large
+block and they are its t smallest members, and no cut tree is built;
+otherwise the cut tree gives the blocks.  On an Eulerian digraph the scan
+runs on the digraph itself, with out-degrees and flows at half the
+threshold, since each two-way cut is twice the directed one; the
+underlying graph is built only for the cut tree.  Either way the
+certificate is routed through one Menger fan out of the first terminal,
+which checks its own feasibility.
 
 A decide builds one flow network from the host, in whole-list passes.
-The capped flows run on it, and when they certify, the fan runs on it
-too, after a reset, so such a decide builds no other network and checks
-a directed host Eulerian once.  The cut tree builds networks of its own,
-so a decide that needs it certifies through extract_clique_immersion or
+The scan reads its out-capacities and runs its capped flows on it, and
+when they certify, the fan runs on it too, after a reset, so such a
+decide builds no other network and checks a directed host Eulerian once.
+The cut tree builds networks of its own, so a decide that needs it
+certifies through extract_clique_immersion or
 extract_directed_clique_immersion, whose fan builds one more.
 
 A returned decomposition never claims that no immersion exists; only the
@@ -270,27 +275,33 @@ def extract_directed_clique_immersion(d: MultiGraph, terminals) -> ImmersionCert
     return _route_thick_star(d, _check_terminals(d, terminals))
 
 
-def _lowest_block(g: MultiGraph, net: _Net, t: int,
-                  limit: int) -> list[int] | None:
-    """The t lowest vertices of g when each is joined to the lowest by a
-    minimum cut of at least `limit`, else None.
+def _first_large_block(g: MultiGraph, net: _Net, t: int,
+                       limit: int) -> list[int] | None:
+    """The t smallest members of the first block of at least t vertices,
+    when that block holds the lowest vertex whose out-capacity in `net`,
+    built from g, reaches `limit`; else None.
 
-    Minimum cuts are ultrametric, lambda(u, w) >= min(lambda(u, v),
-    lambda(v, w)), so with `limit` the threshold they share a block
-    exactly when the check passes; that block is then the first, and they
-    are its t smallest members.  On an Eulerian digraph every set sends
-    out as many arcs as it takes in, so each two-way cut is twice the
-    directed one: the digraph itself is checked, with `limit` half the
-    threshold, and no underlying graph is built.  The t-1 flows run on
-    `net`, built from g, each stopped at `limit`."""
-    low = list(g.vertices[:t])
-    if len(low) < t:
-        return None
-    for v in low[1:]:
-        net.reset()
-        if net.max_flow(low[0], v, limit=limit) < limit:
-            return None
-    return low
+    A vertex of smaller out-capacity has a trivial cut below `limit`, so
+    it is a block of its own and cannot join the root's block: the scan
+    skips it, testing each vertex only as it reaches it.  The first vertex
+    it keeps is the root, and every vertex below the root is a singleton.
+    Each later kept vertex joins when one flow from the root, on the reset
+    network and stopped at `limit`, reaches it.  On an Eulerian digraph
+    every set sends out as many arcs as it takes in, so each two-way cut
+    is twice the directed one: the digraph itself is scanned, with `limit`
+    half the threshold, and no underlying graph is built."""
+    members: list[int] = []
+    for v in g.vertices:
+        if net.out_capacity(v) < limit:
+            continue
+        if members:
+            net.reset()
+            if net.max_flow(members[0], v, limit=limit) < limit:
+                continue
+        members.append(v)
+        if len(members) == t:
+            return members
+    return None
 
 
 def _pipeline(g: MultiGraph, t: int, directed: bool):
@@ -298,8 +309,8 @@ def _pipeline(g: MultiGraph, t: int, directed: bool):
     # A directed g is Eulerian (decompose_directed checks that first), so
     # its directed cuts are half its two-way cuts.
     net = _Net(g)
-    terminals = _lowest_block(g, net, t,
-                              threshold // 2 if directed else threshold)
+    terminals = _first_large_block(g, net, t,
+                                   threshold // 2 if directed else threshold)
     if terminals is not None:
         return _route_thick_star(g, terminals, net)
     # The cut tree builds networks of its own, and so does the fan below.

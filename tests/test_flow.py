@@ -271,6 +271,18 @@ class TestLimitedMaxFlow:
         assert_feasible_flow(net, 0, 2, 5)
 
 
+class TestOutCapacity:
+    @given(graphs_or_digraphs)
+    @settings(max_examples=60)
+    def test_counts_non_loop_edges_out(self, g):
+        # A graph's edges leave both ends; a digraph's arcs only the tail.
+        net = _Net(g)
+        for v in g.vertices:
+            out = [e for e in g.edges if not e.is_loop() and
+                   (e.tail == v or not g.directed and e.head == v)]
+            assert net.out_capacity(v) == len(out)
+
+
 class TestReset:
     """One network, reset between flows, answers every pair as a fresh
     network would: the same value and the same cut side."""

@@ -131,6 +131,15 @@ def bidirected_complete(n):
     return bidirected(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def clique_pairs(vertices):
+    return list(itertools.combinations(vertices, 2))
+
+
+def pendant_k5():
+    """Vertex 0 hangs off a K5 on 1..5 by one edge."""
+    return MultiGraph.undirected(6, [(0, 1)] + clique_pairs(range(1, 6)))
+
+
 class TestThresholds:
     def test_undirected_values(self):
         assert [cut_threshold(t, False) for t in (2, 3, 4, 5)] == [1, 4, 9, 16]
@@ -347,8 +356,10 @@ class TestExtractDirected:
 
 
 class TestBlockCheck:
-    """When the t lowest vertices share a block the pipeline certifies
-    them without building the cut tree; otherwise it builds the tree."""
+    """The scan skips vertices whose degree is below the threshold, roots
+    at the first other vertex, and certifies the t smallest members of
+    the root's block without building the cut tree; when that block has
+    fewer than t vertices it builds the tree."""
 
     @pytest.fixture
     def no_tree(self, monkeypatch):
@@ -383,11 +394,16 @@ class TestBlockCheck:
     @pytest.mark.parametrize("host, t, decompose", [
         (complete_graph(5), 3, decompose_undirected),
         (bidirected_complete(7), 3, decompose_directed),
-    ], ids=["undirected-K5", "bidirected-K7"])
+        (pendant_k5(), 3, decompose_undirected),
+        (bidirected(8, [(0, 1)] + clique_pairs(range(1, 8))), 3,
+         decompose_directed),
+    ], ids=["undirected-K5", "bidirected-K7", "undirected-pendant",
+            "bidirected-pendant"])
     def test_shared_block_builds_one_network(self, host, t, decompose,
                                              monkeypatch):
-        # The block check's capped flows and the certificate's fan run on
-        # one network, and a directed host is checked Eulerian once.
+        # The scan's degree tests and capped flows and the certificate's
+        # fan run on one network, also when the scan skips the lowest
+        # vertex, and a directed host is checked Eulerian once.
         nets, checks = [], []
 
         class CountedNet(flow._Net):
@@ -437,9 +453,7 @@ class TestBlockCheck:
     def test_directed_cut_at_half_threshold(self, t, trees):
         # Bidirected K_{t(t-1)+1}: every directed cut between the t lowest
         # vertices is exactly t(t-1), half the threshold 2t(t-1), so they
-        # are certified without a tree.  Without the arcs of the directed
-        # triangle 0 -> 1 -> 2 -> 0 the host stays Eulerian, the cut from
-        # 0 to 1 drops to t(t-1) - 1, and the tree decides.
+        # are certified without a tree.
         k = t * (t - 1)
         host = bidirected_complete(k + 1)
         assert min(brute.min_cut_directed(host, 0, v) for v in range(1, t)) == k
@@ -447,16 +461,20 @@ class TestBlockCheck:
         assert not trees
         assert cert.phi == tuple(range(t))
         assert verify_certificate(host, cert).ok
-        triangle = {(0, 1), (1, 2), (2, 0)}
-        short = MultiGraph(host.vertices, [e for e in host.edges
-                                           if e.ends() not in triangle], True)
-        assert short.is_eulerian()
-        assert brute.min_cut_directed(short, 0, 1) == k - 1
-        outcome = decompose_directed(short, t)
+        # A hub 0 joined by t(t-1) - 1 digons to vertex 1 of that clique,
+        # shifted to 1..t(t-1)+1, and by one digon to a new vertex: its
+        # out-degree t(t-1) reaches half the threshold, so the scan roots
+        # at it, but its directed cut to the clique is t(t-1) - 1, so its
+        # block is {0} and the tree decides.
+        hub = bidirected(k + 3, [(0, 1)] * (k - 1) + [(0, k + 2)]
+                         + clique_pairs(range(1, k + 2)))
+        assert hub.is_eulerian()
+        assert brute.degree(hub, 0) == (k, k)
+        assert brute.min_cut_directed(hub, 0, 1) == k - 1
+        cert = decompose_directed(hub, t)
         assert len(trees) == 1
-        verify = (verify_certificate if isinstance(outcome, ImmersionCertificate)
-                  else verify_decomposition)
-        report = verify(short, outcome)
+        assert cert.phi == tuple(range(1, t + 1))
+        report = verify_certificate(hub, cert)
         assert report.ok, report.problem
 
     def test_short_cut_builds_tree(self, trees):
@@ -467,17 +485,88 @@ class TestBlockCheck:
         assert isinstance(dec, LaminarDecomposition)
         assert verify_decomposition(d, dec).ok
 
-    def test_pendant_lowest_vertex_builds_tree(self, trees):
-        # Vertex 0 hangs off a K5 on 1..5, so the first large block starts
-        # at 1.
-        pairs = [(0, 1)] + [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
-        g = MultiGraph.undirected(6, pairs)
+    def test_pendant_lowest_vertex_skips_tree(self, trees):
+        # Vertex 0 has degree 1, below the threshold 4, so the scan skips
+        # it and certifies the K5 on 1..5 with no tree.
+        g = pendant_k5()
+        cert = decompose_undirected(g, 3)
+        assert not trees
+        assert isinstance(cert, ImmersionCertificate)
+        assert cert.phi == (1, 2, 3)
+        report = verify_certificate(g, cert)
+        assert report.ok, report.problem
+
+    def test_hub_root_builds_tree(self, trees):
+        # Vertex 0 is joined by two edges to a K5 on 1..5 and by two to a
+        # K5 on 6..10: its degree 4 reaches the threshold, so it is the
+        # root, but each of its cuts is 2, so its block is {0} and the
+        # tree finds the first large block.
+        g = MultiGraph.undirected(11, [(0, 1), (0, 2), (0, 6), (0, 7)]
+                                  + clique_pairs(range(1, 6))
+                                  + clique_pairs(range(6, 11)))
         cert = decompose_undirected(g, 3)
         assert len(trees) == 1
         assert isinstance(cert, ImmersionCertificate)
         assert cert.phi == (1, 2, 3)
         report = verify_certificate(g, cert)
         assert report.ok, report.problem
+
+    def test_benchmark_host_skips_tree(self, trees, monkeypatch):
+        # Host 13 of the dir-multi-t5 corpus at seed 0: vertex 3 has
+        # out-degree 19, below half the threshold 40, so the t lowest
+        # vertices do not share a block, but the scan skips 3 and finds
+        # the block with no tree, and names the terminals the tree does.
+        d = random_eulerian_digraph(11, 275, random.Random("dir-multi-t5:0:13"))
+        cert = decompose_directed(d, 5)
+        assert not trees
+        assert isinstance(cert, ImmersionCertificate)
+        monkeypatch.setattr(immersion, "_first_large_block",
+                            lambda *args: None)
+        assert decompose_directed(d, 5).phi == cert.phi
+        assert len(trees) == 1
+
+    def test_scan_matches_cut_tree(self, monkeypatch):
+        # On seeded small hosts: a scan that certifies names the t smallest
+        # members of the cut tree's first block of at least t vertices; a
+        # scan that declines either has no root, no vertex whose degree
+        # reaches the threshold, or a root whose block is smaller than t;
+        # and the decide's artifact equals the one the cut tree gives.
+        decide = {False: decompose_undirected, True: decompose_directed}
+        seen = []
+        for seed in range(120):
+            rng = random.Random(seed)
+            n, t = rng.randint(2, 8), rng.choice([2, 3, 4])
+            if seed % 2:
+                g = random_eulerian_digraph(n, rng.randint(n, 10 * n), rng)
+            else:
+                g = random_multigraph(n, rng.randint(n, 8 * n), rng)
+            threshold = cut_threshold(t, g.directed)
+            und = g.underlying() if g.directed else g
+            tree = build_gomory_hu(und)
+            blocks = tree.blocks_without(
+                e for e in tree.edges if e.weight < threshold)
+            large = [b for b in blocks if len(b) >= t]
+            limit = threshold // 2 if g.directed else threshold
+            found = immersion._first_large_block(g, flow._Net(g), t, limit)
+            roots = [v for v in g.vertices
+                     if sum(v in e.ends() for e in und.edges
+                            if not e.is_loop()) >= threshold]
+            if found is not None:
+                assert found == list(large[0][:t])
+                seen.append("certified")
+            elif roots:
+                assert all(len(b) < t for b in blocks if roots[0] in b)
+                seen.append("small root block")
+            else:
+                assert not large
+                seen.append("no root")
+            outcome = outcome_to_json(decide[g.directed](g, t))
+            with monkeypatch.context() as patch:
+                patch.setattr(immersion, "_first_large_block",
+                              lambda *args: None)
+                assert outcome_to_json(decide[g.directed](g, t)) == outcome
+        assert min(map(seen.count, ("certified", "small root block",
+                                    "no root"))) >= 10
 
 
 class TestDecomposeUndirected:
