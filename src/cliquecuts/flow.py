@@ -12,11 +12,13 @@ Loops never reach the solver.  All scans run in ascending edge-id order, so
 every returned value, cut side and trail is deterministic.
 
 A network is built from a graph in whole-list passes: one loop bundles
-the edges and one lists each vertex's arcs, and the arc, capacity and id
-lists are sliced and interleaved from per-bundle columns.  It serves any
-number of flows, as reset() undoes the flow pushed so far, so one network
-carries a decide's capped flows and then its fan, whose auxiliary sink
-add_group joins to it.
+the edges, and one method writes arc pairs from per-bundle columns,
+interleaving the arc and capacity lists by slices and then listing each
+vertex's arcs.  It serves any number of flows, as reset() undoes the flow
+pushed so far, so one network carries a decide's capped flows and then its
+fan, whose auxiliary sink add_sink joins to it through that same method.
+Flows and cut sides are asked only of vertices the network holds: any
+other id raises KeyError.
 """
 from __future__ import annotations
 
@@ -51,17 +53,18 @@ class FanInfeasible(GraphError):
         self.required = required
 
 
-def _interleave(even: list, odd: list) -> list:
-    """even[0], odd[0], even[1], odd[1], ... for two lists of one length."""
-    out = [None] * (2 * len(even))
-    out[0::2] = even
-    out[1::2] = odd
-    return out
+def _interleave(out: list, even: list, odd: list) -> None:
+    """Append even[0], odd[0], even[1], odd[1], ... to out."""
+    base = len(out)
+    out += even
+    out += odd
+    out[base::2] = even
+    out[base + 1::2] = odd
 
 
 class _Net:
     """Edmonds-Karp solver.  Arcs are stored in pairs; arc a's reverse is
-    a ^ 1.
+    a ^ 1, and its edge ids are _ids[a >> 1].
 
     Built from a graph in whole-list passes: the vertex index follows
     g.vertices, and each non-loop (tail, head) bundle is one arc pair, the
@@ -77,46 +80,45 @@ class _Net:
         self._verts: list[int] = list(g.vertices)
         self._index: dict[int, int] = dict(
             zip(self._verts, range(len(self._verts))))
-        index = self._index.__getitem__
-        tails = list(map(index, map(itemgetter(0), bundles)))
-        heads = list(map(index, map(itemgetter(1), bundles)))
+        self._adj: list[list[int]] = [[] for _ in self._verts]
+        # Arc heads, capacities, residuals, and each pair's edge ids.
+        self._to, self._init, self._res, self._ids = [], [], [], []
         caps = list(map(len, bundles.values()))
-        # Arc 2k runs along bundle k, arc 2k+1 back against it.
-        self._to: list[int] = _interleave(heads, tails)
-        self._init: list[int] = _interleave(
-            caps, [0] * len(caps) if g.directed else caps)
-        self._res: list[int] = self._init[:]
-        ids = list(bundles.values())
-        self._ids: list[Sequence[int]] = _interleave(ids, ids)
+        self._add_pairs(map(itemgetter(0), bundles),
+                        map(itemgetter(1), bundles), caps,
+                        [0] * len(caps) if g.directed else caps,
+                        list(bundles.values()))
+
+    def _add_pairs(self, tails, heads, caps: list[int], back: list[int],
+                   ids: list[Sequence[int]]) -> None:
+        """Write every arc pair: one per bundle k, its first arc tails[k] ->
+        heads[k] of capacity caps[k], its second back of capacity back[k],
+        the pair carrying the edge ids ids[k]."""
+        base = len(self._to)
+        index = self._index.__getitem__
+        _interleave(self._to, list(map(index, heads)), list(map(index, tails)))
+        _interleave(self._init, caps, back)
+        _interleave(self._res, caps, back)
+        self._ids += ids
         # Each vertex lists the arcs leaving it in ascending order: arc a
         # enters to[a], so a ^ 1 leaves it.
-        self._adj: list[list[int]] = [[] for _ in self._verts]
-        for a, y in enumerate(self._to):
-            self._adj[y].append(a ^ 1)
+        adj = self._adj
+        for a, y in enumerate(self._to[base:], base):
+            adj[y].append(a ^ 1)
 
-    def vertex(self, v: int) -> int:
-        idx = self._index.get(v)
-        if idx is None:
-            idx = len(self._verts)
-            self._index[v] = idx
-            self._verts.append(v)
-            self._adj.append([])
-        return idx
-
-    def add_group(self, u: int, v: int, cap_uv: int, cap_vu: int,
-                  ids: tuple[int, ...]) -> None:
-        ui, vi = self.vertex(u), self.vertex(v)
-        a = len(self._to)
-        self._to.append(vi)
-        self._res.append(cap_uv)
-        self._init.append(cap_uv)
-        self._ids.append(ids)
-        self._to.append(ui)
-        self._res.append(cap_vu)
-        self._init.append(cap_vu)
-        self._ids.append(ids)
-        self._adj[ui].append(a)
-        self._adj[vi].append(a + 1)
+    def add_sink(self, sink: int, demands: dict[int, int]) -> None:
+        """Add the vertex `sink`, new to the network, and join each vertex
+        v with demands[v] > 0 to it by one id-less pair of capacity
+        demands[v] toward it and 0 back, in ascending order of v."""
+        if sink in self._index:
+            raise GraphError(f"vertex {sink} is already in the network")
+        self._index[sink] = len(self._verts)
+        self._verts.append(sink)
+        self._adj.append([])
+        tails = [v for v in sorted(demands) if demands[v] > 0]
+        self._add_pairs(tails, [sink] * len(tails),
+                        [demands[v] for v in tails], [0] * len(tails),
+                        [()] * len(tails))
 
     def out_capacity(self, v: int) -> int:
         """Total capacity of the arcs leaving v: its non-loop degree on a
@@ -152,7 +154,7 @@ class _Net:
         """Push shortest augmenting paths from s to t and return the amount
         pushed: a maximum flow, or exactly `limit` units when the residual
         network holds that many (the last path is pushed only in part)."""
-        s, t = self.vertex(s_id), self.vertex(t_id)
+        s, t = self._index[s_id], self._index[t_id]
         to, res = self._to, self._res
         total = 0
         while limit is None or total < limit:
@@ -175,7 +177,7 @@ class _Net:
 
     def cut_side(self, s_id: int) -> frozenset:
         """The vertices that s reaches in the residual network."""
-        via = self._search(self.vertex(s_id), None)
+        via = self._search(self._index[s_id], None)
         return frozenset(v for v, a in zip(self._verts, via) if a is not None)
 
     def _flow_units(self):
@@ -187,8 +189,9 @@ class _Net:
         # capacity; compress picks those few arcs out of the whole list.
         for arc in compress(range(len(to)), map(gt, init, res)):
             head, tail = verts[to[arc]], verts[to[arc ^ 1]]
+            pair = ids[arc >> 1]
             for k in range(init[arc] - res[arc]):
-                yield (ids[arc][k] if ids[arc] else None, tail, head)
+                yield (pair[k] if pair else None, tail, head)
 
     def extract_trails(self, s_id: int, count: int) -> list[Trail]:
         """Walk `count` edge-disjoint trails out of the flow, smallest edge id
@@ -267,9 +270,7 @@ def _fan(net: _Net, g: MultiGraph, source: int,
         return ()
     net.reset()
     aux = max(g.vertices) + 1
-    for v in sorted(demands):
-        if demands[v] > 0:
-            net.add_group(v, aux, demands[v], 0, ())
+    net.add_sink(aux, demands)
     value = net.max_flow(source, aux, limit=total)
     if value < total:
         side = net.cut_side(source)

@@ -22,12 +22,15 @@ class TreeEdge:
 
 
 class GomoryHuTree:
-    """Cut forest over the vertex set of the graph it was built from.
+    """Cut forest over the vertex set of the graph it was built from; each
+    edge is stored with its ends ordered, a < b, however it was given.
 
     Each component is rooted at its smallest vertex.  Every vertex keeps
     its (parent, tree edge) link, None at a root, and its depth; each edge
     its lower end; each component its vertices, parents first.  So every
-    query is one pass down that order or one climb up the links."""
+    query is one pass down that order or one climb up the links.  The
+    pipeline reads only edges and blocks_without; fundamental_partition and
+    min_cut_value stay as the Gomory-Hu content the tree's checks read."""
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[TreeEdge]):
         self.vertices = tuple(sorted(set(vertices)))
@@ -180,7 +183,7 @@ def _component_tree(g: MultiGraph, comp: tuple[int, ...]) -> list[TreeEdge]:
         for j, w in peers.items():
             if i < j:
                 (vj,) = nodes[j]
-                out.append(TreeEdge(min(vi, vj), max(vi, vj), w))
+                out.append(TreeEdge(vi, vj, w))
     return out
 
 

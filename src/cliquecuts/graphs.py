@@ -73,9 +73,22 @@ class MultiGraph:
         if vset and min(vset) < 0:
             raise GraphError("vertex ids must be non-negative")
         edges = list(edges)
-        recs = self._checked_whole(edges, vset, directed)
-        if recs is None:
-            recs = self._checked_each(edges, vset, directed)
+        if not set(map(type, edges)) <= {EdgeRecord}:
+            edges = [EdgeRecord(int(eid), int(tail), int(head))
+                     for eid, tail, head in edges]
+        # Every rule is tested on whole columns; only a rejected collection
+        # is scanned edge by edge, for its first fault.
+        ids, tails, heads = list(zip(*edges)) or ((), (), ())
+        ascending = not any(map(ge, ids, ids[1:]))
+        if (not ascending and len(set(ids)) < len(ids)
+                or not vset.issuperset(tails) or not vset.issuperset(heads)):
+            raise GraphError(_first_fault(edges, vset))
+        if not directed and any(map(gt, tails, heads)):
+            edges = _records(ids, map(min, tails, heads),
+                             map(max, tails, heads))
+        recs = dict(zip(ids, edges))
+        if not ascending:
+            recs = dict(sorted(recs.items()))
         self.directed = directed
         self._vertex_set = vset
         self._vertices = tuple(sorted(vset))
@@ -86,42 +99,6 @@ class MultiGraph:
         elif next_edge_id < top:
             raise GraphError("next_edge_id collides with an existing edge id")
         self._next_id = next_edge_id
-
-    @staticmethod
-    def _checked_whole(edges: list, vset: frozenset,
-                       directed: bool) -> dict[int, EdgeRecord] | None:
-        """The edges by id, checked collection by collection; None unless
-        every edge is an EdgeRecord, ids ascend, ends are known and,
-        undirected, ordered, so that _checked_each takes any other input."""
-        if not edges:
-            return {}
-        if not set(map(type, edges)) <= {EdgeRecord}:
-            return None
-        ids, tails, heads = zip(*edges)
-        if (any(map(ge, ids, ids[1:]))
-                or not directed and any(map(gt, tails, heads))
-                or not vset.issuperset(tails) or not vset.issuperset(heads)):
-            return None
-        return dict(zip(ids, edges))
-
-    @staticmethod
-    def _checked_each(edges: list, vset: frozenset,
-                      directed: bool) -> dict[int, EdgeRecord]:
-        """The edges by id, in id order, converted and checked one at a
-        time: the first fault raises."""
-        recs: dict[int, EdgeRecord] = {}
-        for e in edges:
-            if not isinstance(e, EdgeRecord):
-                eid, tail, head = e
-                e = EdgeRecord(int(eid), int(tail), int(head))
-            if not directed and e.tail > e.head:
-                e = EdgeRecord(e.id, e.head, e.tail)
-            if e.id in recs:
-                raise GraphError(f"duplicate edge id {e.id}")
-            if e.tail not in vset or e.head not in vset:
-                raise GraphError(f"edge {e.id} touches unknown vertex")
-            recs[e.id] = e
-        return dict(sorted(recs.items()))
 
     # -- construction helpers -------------------------------------------------
 
@@ -264,6 +241,19 @@ _COMMENT = re.compile(r"#[^\n]*")
 def _records(ids, tails, heads) -> list[EdgeRecord]:
     """EdgeRecords from three columns, with no Python call per edge."""
     return list(map(tuple.__new__, repeat(EdgeRecord), zip(ids, tails, heads)))
+
+
+def _first_fault(edges: list[EdgeRecord], vset: frozenset) -> str:
+    """The complaint about the first edge, in list order, whose id repeats
+    an earlier one or which touches a vertex outside vset."""
+    seen = set()
+    for eid, tail, head in edges:
+        if eid in seen:
+            return f"duplicate edge id {eid}"
+        if tail not in vset or head not in vset:
+            return f"edge {eid} touches unknown vertex"
+        seen.add(eid)
+    raise AssertionError("no faulty edge")
 
 
 def _first_bad_row(rows: list[str], n: int) -> tuple[int, str]:

@@ -226,3 +226,22 @@ def parse_graph(text: str) -> MultiGraph:
             u, v = v, u
         edges.append(EdgeRecord(eid, u, v))
     return MultiGraph(range(n), edges, directed)
+
+
+def graph_edges(vertices, edges, directed: bool):
+    """The edges MultiGraph(vertices, edges, directed) holds, as
+    (edges in id order, next edge id), by its rules applied one edge at a
+    time in input order: convert to ints, order undirected ends, and raise
+    GraphError at the first repeated id or unknown end."""
+    vset = set(vertices)
+    recs = {}
+    for eid, tail, head in edges:
+        eid, tail, head = int(eid), int(tail), int(head)
+        if not directed and tail > head:
+            tail, head = head, tail
+        if eid in recs:
+            raise graphs.GraphError(f"duplicate edge id {eid}")
+        if tail not in vset or head not in vset:
+            raise graphs.GraphError(f"edge {eid} touches unknown vertex")
+        recs[eid] = EdgeRecord(eid, tail, head)
+    return tuple(recs[i] for i in sorted(recs)), max(recs, default=-1) + 1

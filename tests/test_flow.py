@@ -420,18 +420,45 @@ class TestMengerFan:
             assert brute.trail_is_consistent(g, tr.edges, source, tr.end)
 
 
-def add_group_build(g):
-    """The reference network: an empty one filled one bundle at a time
-    through add_group, its vertices indexed as they first appear."""
-    net = _Net(MultiGraph((), (), g.directed))
-    bundles = {}
-    for e in g.edges:
-        if not e.is_loop():
-            bundles.setdefault((e.tail, e.head), []).append(e.id)
-    for (u, v), ids in bundles.items():
-        net.add_group(u, v, len(ids), 0 if g.directed else len(ids),
+class BundleNet(_Net):
+    """The reference network: only the solver is _Net's.  Its arc lists are
+    filled one bundle at a time, with no call to _Net's pair writer; its
+    vertices are indexed as they first appear in the bundles, and the
+    vertices no bundle touches after them, in ascending order."""
+
+    def __init__(self, g):
+        self._verts, self._index, self._adj = [], {}, []
+        self._to, self._init, self._res, self._ids = [], [], [], []
+        bundles = {}
+        for e in g.edges:
+            if not e.is_loop():
+                bundles.setdefault((e.tail, e.head), []).append(e.id)
+        for (u, v), ids in bundles.items():
+            self.pair(u, v, len(ids), 0 if g.directed else len(ids),
                       tuple(ids))
-    return net
+        for v in g.vertices:
+            self.vertex(v)
+
+    def vertex(self, v):
+        if v not in self._index:
+            self._index[v] = len(self._verts)
+            self._verts.append(v)
+            self._adj.append([])
+        return self._index[v]
+
+    def pair(self, u, v, cap_uv, cap_vu, ids):
+        ui, vi = self.vertex(u), self.vertex(v)
+        self._adj[ui].append(len(self._to))
+        self._adj[vi].append(len(self._to) + 1)
+        self._to += [vi, ui]
+        self._init += [cap_uv, cap_vu]
+        self._res += [cap_uv, cap_vu]
+        self._ids.append(ids)
+
+    def add_sink(self, sink, demands):
+        for v in sorted(demands):
+            if demands[v] > 0:
+                self.pair(v, sink, demands[v], 0, ())
 
 
 @st.composite
@@ -473,7 +500,7 @@ def fan_requests(draw, g):
 
 class TestWholeListBuild:
     """_Net(g), built in whole-list passes, behaves as the network built
-    one bundle at a time through add_group."""
+    one bundle at a time."""
 
     def test_gapped_example_has_every_feature(self):
         assert GAPPED.vertices == (0, 1, 2, 3, 4, 6, 7)
@@ -490,7 +517,7 @@ class TestWholeListBuild:
                                max_size=2, unique=True))])
         for u, v in pairs:
             for limit in (None, 0, 1, 2):
-                bulk, ref = _Net(g), add_group_build(g)
+                bulk, ref = _Net(g), BundleNet(g)
                 assert (bulk.max_flow(u, v, limit)
                         == ref.max_flow(u, v, limit))
                 # The same units on the same edge ids, in the same order.
@@ -505,7 +532,7 @@ class TestWholeListBuild:
         # equal flows arc by arc; an infeasible fan gives its cut.
         source, demands = data.draw(fan_requests(g))
         assert (fan_outcome(_fan, _Net(g), g, source, demands)
-                == fan_outcome(_fan, add_group_build(g), g, source, demands))
+                == fan_outcome(_fan, BundleNet(g), g, source, demands))
 
     @given(gapped_graphs(), st.data())
     @settings(max_examples=150)
@@ -523,3 +550,33 @@ class TestWholeListBuild:
         source, demands = data.draw(fan_requests(g))
         assert (fan_outcome(_fan, net, g, source, demands)
                 == fan_outcome(menger_fan, g, source, demands))
+
+
+class TestHeldVertices:
+    """A network answers only for the vertices it holds: GAPPED has no
+    vertex 5 (contracted into 3) and none beyond 7."""
+
+    @pytest.mark.parametrize("ask", [
+        lambda net: net.max_flow(0, 5),
+        lambda net: net.max_flow(5, 0, limit=1),
+        lambda net: net.max_flow(0, 8),
+        lambda net: net.cut_side(5),
+        lambda net: net.cut_side(8),
+    ])
+    def test_unknown_id_raises_and_changes_nothing(self, ask):
+        net = _Net(GAPPED)
+        net.max_flow(1, 2, limit=2)
+        before = (net._verts[:], [a[:] for a in net._adj], net._to[:],
+                  net._res[:])
+        with pytest.raises(KeyError):
+            ask(net)
+        assert (net._verts, net._adj, net._to, net._res) == before
+        assert net.max_flow(1, 2) == _Net(GAPPED).max_flow(1, 2) - 2
+
+    def test_sink_must_be_new(self):
+        net = _Net(GAPPED)
+        with pytest.raises(GraphError, match="^vertex 7 is already"):
+            net.add_sink(7, {0: 1})
+        assert len(net._verts) == len(GAPPED.vertices)
+        net.add_sink(8, {0: 1, 1: 0, 2: 2})
+        assert net.max_flow(0, 8) == 3

@@ -414,6 +414,57 @@ class TestContract:
         assert len(c.vertices) == len(g.vertices) - k + 1
 
 
+@st.composite
+def edge_collections(draw):
+    """(vertices, edges, directed) for MultiGraph: a vertex set with gaps,
+    edges given as records, tuples or a mix, ids in ascending or shuffled
+    order, ends in either order, and now and then an id repeated or an end
+    outside the vertex set."""
+    vertices = draw(st.sets(st.integers(0, 8), min_size=1, max_size=6))
+    end = st.sampled_from(sorted(vertices))
+    ids = draw(st.lists(st.integers(0, 20), max_size=10, unique=True))
+    if draw(st.booleans()):
+        ids.sort()
+    forms = draw(st.sampled_from([[EdgeRecord], [tuple], [EdgeRecord, tuple]]))
+    edges = []
+    for eid in ids:
+        if edges:
+            eid = _mostly(draw, eid, st.sampled_from([e[0] for e in edges]))
+        ends = [_mostly(draw, draw(end), st.integers(0, 10)) for _ in "th"]
+        form = draw(st.sampled_from(forms))
+        edges.append(form([eid, *ends]) if form is tuple else form(eid, *ends))
+    return vertices, edges, draw(st.booleans())
+
+
+def graph_outcome(build, vertices, edges, directed):
+    """The edges and next edge id build gives, or its GraphError message."""
+    try:
+        if build is MultiGraph:
+            g = MultiGraph(vertices, edges, directed)
+            return g.edges, g.next_edge_id
+        return build(vertices, edges, directed)
+    except GraphError as exc:
+        return str(exc)
+
+
+class TestConstructorDifferential:
+    """MultiGraph's whole-collection checks against the per-edge reference
+    in brute: the same graph, or the same first fault."""
+
+    @settings(max_examples=400)
+    @given(edge_collections())
+    @example(({0, 1, 2}, [(2, 1, 0), EdgeRecord(0, 0, 9), (2, 0, 1)], False))
+    @example(({0, 2}, [EdgeRecord(3, 2, 0), (1, 0, 2), EdgeRecord(1, 0, 1)],
+              True))
+    def test_matches_reference(self, case):
+        vertices, edges, directed = case
+        got = graph_outcome(MultiGraph, vertices, edges, directed)
+        assert got == graph_outcome(brute.graph_edges, vertices, edges,
+                                    directed)
+        if not isinstance(got, str):
+            assert all(type(e) is EdgeRecord for e in got[0])
+
+
 class TestRewrites:
     def test_underlying_keeps_ids(self):
         d = MultiGraph.directed_graph(3, [(2, 0), (0, 1)])
