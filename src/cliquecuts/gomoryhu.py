@@ -26,11 +26,11 @@ class GomoryHuTree:
     edge is stored with its ends ordered, a < b, however it was given.
 
     Each component is rooted at its smallest vertex.  Every vertex keeps
-    its (parent, tree edge) link, None at a root, and its depth; each edge
-    its lower end; each component its vertices, parents first.  So every
-    query is one pass down that order or one climb up the links.  The
-    pipeline reads only edges and blocks_without; fundamental_partition and
-    min_cut_value stay as the Gomory-Hu content the tree's checks read."""
+    its (parent, tree edge) link, None at a root, and its depth; each
+    component its vertices, parents first.  So every query is one pass
+    down that order or one climb up the links.  The pipeline reads only
+    edges and blocks_without; fundamental_partition and min_cut_value stay
+    as the Gomory-Hu content the tree's checks read."""
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[TreeEdge]):
         self.vertices = tuple(sorted(set(vertices)))
@@ -47,7 +47,6 @@ class GomoryHuTree:
         self.edges = tuple(sorted(norm, key=lambda e: (e.a, e.b)))
         self._up: dict[int, tuple[int, TreeEdge] | None] = {}
         self._depth: dict[int, int] = {}
-        self._child: dict[TreeEdge, int] = {}
         self._comp: dict[int, int] = {}
         # Components are numbered 0, 1, ... in order of smallest member.
         self._members: list[tuple[int, ...]] = []
@@ -61,7 +60,6 @@ class GomoryHuTree:
                 for y, e in adj[x]:
                     if y not in self._up:
                         self._up[y], self._depth[y] = (x, e), self._depth[x] + 1
-                        self._child[e] = y
                         order.append(y)
             self._members.append(tuple(order))
         # The search takes one edge per non-root vertex; any edge beyond
@@ -77,21 +75,13 @@ class GomoryHuTree:
 
     def fundamental_partition(self, edge: TreeEdge) -> tuple[frozenset, frozenset]:
         """The two vertex sets separated by removing `edge`, restricted to
-        its component; the first side contains edge.a."""
+        its component; the first side contains the smaller end."""
         if edge.a > edge.b:
             edge = TreeEdge(edge.b, edge.a, edge.weight)
-        child = self._child.get(edge)
-        if child is None:
+        if edge not in self.edges:
             raise GraphError("not an edge of this tree")
-        # The subtree below `edge`: a vertex is in it when its parent is.
-        members = self._members[self._comp[child]]
-        below = {child}
-        for v in members:
-            link = self._up[v]
-            if link is not None and link[0] in below:
-                below.add(v)
-        inside, rest = frozenset(below), frozenset(members) - below
-        return (inside, rest) if child == edge.a else (rest, inside)
+        block_of = {v: b for b in self.blocks_without([edge]) for v in b}
+        return frozenset(block_of[edge.a]), frozenset(block_of[edge.b])
 
     def min_cut_value(self, u: int, v: int) -> int:
         """Smallest weight on the tree path between u and v; 0 when they sit
@@ -131,60 +121,44 @@ class GomoryHuTree:
 
 
 def _component_tree(g: MultiGraph, comp: tuple[int, ...]) -> list[TreeEdge]:
-    if len(comp) == 1:
-        return []
-    # Tree of supernodes: repeatedly split a multi-vertex node along a min cut
-    # computed in the host with every other subtree contracted.  No flow
-    # leaves comp, so the other components need not be cut away.
-    nodes: dict[int, frozenset] = {0: frozenset(comp)}
-    nbrs: dict[int, dict[int, int]] = {0: {}}
-    next_id = 1
-    while True:
-        multi = [i for i, vs in nodes.items() if len(vs) > 1]
-        if not multi:
-            break
-        nid = min(multi, key=lambda i: min(nodes[i]))
+    # Tree of supernodes, each named by its index in `nodes`: repeatedly
+    # split the multi-vertex node with the smallest member along a min cut
+    # computed in the host with each subtree hanging off that node
+    # contracted.  No flow leaves comp, so the other components need not be
+    # cut away.  Each split adds one node, so there are len(comp) nodes
+    # once every node is a single vertex.
+    nodes = [frozenset(comp)]
+    nbrs: list[dict[int, int]] = [{}]
+    while len(nodes) < len(comp):
+        nid = min((i for i, vs in enumerate(nodes) if len(vs) > 1),
+                  key=lambda i: min(nodes[i]))
         u, v = sorted(nodes[nid])[:2]
-        groups: list[tuple[int, frozenset]] = []
-        seen = {nid}
+        # Each hanging subtree is walked away from nid and contracted; its
+        # supernode in gc keeps the subtree's smallest vertex.
+        gc, reps = g, {}
         for b in sorted(nbrs[nid]):
-            if b in seen:
-                continue
-            stack, union = [b], set()
-            seen.add(b)
+            stack, union = [(b, nid)], set()
             while stack:
-                x = stack.pop()
+                x, parent = stack.pop()
                 union |= nodes[x]
                 for y in nbrs[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            groups.append((b, frozenset(union)))
-        gc = g
-        for _, union in groups:
+                    if y != parent:
+                        stack.append((y, x))
             gc = gc.contract(union)
+            reps[b] = min(union)
         cut = min_cut(gc, u, v)
-        nb = next_id
-        next_id += 1
-        nodes[nb] = nodes[nid] - cut.side
-        nodes[nid] = nodes[nid] & cut.side
-        nbrs[nb] = {}
-        for b, union in groups:
-            if min(union) not in cut.side:
-                w_old = nbrs[nid].pop(b)
+        nb = len(nodes)
+        nodes.append(nodes[nid] - cut.side)
+        nodes[nid] &= cut.side
+        nbrs.append({})
+        for b, rep in reps.items():
+            if rep not in cut.side:
+                nbrs[nb][b] = nbrs[b][nb] = nbrs[nid].pop(b)
                 del nbrs[b][nid]
-                nbrs[nb][b] = w_old
-                nbrs[b][nb] = w_old
-        nbrs[nid][nb] = cut.value
-        nbrs[nb][nid] = cut.value
-    out = []
-    for i, peers in nbrs.items():
-        (vi,) = nodes[i]
-        for j, w in peers.items():
-            if i < j:
-                (vj,) = nodes[j]
-                out.append(TreeEdge(vi, vj, w))
-    return out
+        nbrs[nid][nb] = nbrs[nb][nid] = cut.value
+    ends = [v for (v,) in nodes]
+    return [TreeEdge(ends[i], ends[j], w)
+            for i, peers in enumerate(nbrs) for j, w in peers.items() if i < j]
 
 
 def build_gomory_hu(g: MultiGraph) -> GomoryHuTree:

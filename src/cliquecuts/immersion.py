@@ -304,25 +304,25 @@ def _first_large_block(g: MultiGraph, net: _Net, t: int,
     return None
 
 
-def _pipeline(g: MultiGraph, t: int, directed: bool):
-    threshold = cut_threshold(t, directed)
+def _pipeline(g: MultiGraph, t: int):
+    threshold = cut_threshold(t, g.directed)
     # A directed g is Eulerian (decompose_directed checks that first), so
     # its directed cuts are half its two-way cuts.
     net = _Net(g)
-    terminals = _first_large_block(g, net, t,
-                                   threshold // 2 if directed else threshold)
+    terminals = _first_large_block(
+        g, net, t, threshold // 2 if g.directed else threshold)
     if terminals is not None:
         return _route_thick_star(g, terminals, net)
     # The cut tree builds networks of its own, and so does the fan below.
-    tree = build_gomory_hu(g.underlying() if directed else g)
+    tree = build_gomory_hu(g.underlying() if g.directed else g)
     selected = [e for e in tree.edges if e.weight < threshold]
     blocks = tree.blocks_without(selected)
     large = [b for b in blocks if len(b) >= t]
     if not large:
         cuts = tuple(SelectedCut((e.a, e.b), e.weight) for e in selected)
-        return LaminarDecomposition(t, directed, threshold, cuts, blocks)
+        return LaminarDecomposition(t, g.directed, threshold, cuts, blocks)
     terminals = list(large[0][:t])
-    if directed:
+    if g.directed:
         return extract_directed_clique_immersion(g, terminals)
     return extract_clique_immersion(g, terminals)
 
@@ -333,7 +333,7 @@ def decompose_undirected(g: MultiGraph, t: int):
     lowest-id vertices of the first oversized block."""
     if g.directed:
         raise GraphError("decompose_undirected applies to undirected graphs")
-    return _pipeline(g, t, False)
+    return _pipeline(g, t)
 
 
 def decompose_directed(d: MultiGraph, t: int):
@@ -343,16 +343,19 @@ def decompose_directed(d: MultiGraph, t: int):
         raise GraphError("decompose_directed applies to digraphs")
     if not d.is_eulerian():
         raise NotEulerianError("decompose_directed needs an Eulerian digraph")
-    return _pipeline(d, t, True)
+    return _pipeline(d, t)
 
 
 # -- verification -------------------------------------------------------------
 
-def _first(pairs: Iterator[tuple[int, int]], shown: int = 5) -> str:
-    """The first `shown` pairs as a list, with "..." when more follow."""
-    head = list(islice(pairs, shown + 1))
-    text = ", ".join(map(repr, head[:shown]))
-    return f"[{text}, ...]" if len(head) > shown else f"[{text}]"
+_SHOWN = 5     # pairs a pattern mismatch lists before "..."
+
+
+def _first(pairs: Iterator[tuple[int, int]]) -> str:
+    """The first _SHOWN pairs as a list, with "..." when more follow."""
+    head = list(islice(pairs, _SHOWN + 1))
+    text = ", ".join(map(repr, head[:_SHOWN]))
+    return f"[{text}, ...]" if len(head) > _SHOWN else f"[{text}]"
 
 
 def verify_certificate(host: MultiGraph, cert: ImmersionCertificate) -> VerificationReport:

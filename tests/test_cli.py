@@ -225,6 +225,20 @@ class TestVerify:
                    "--artifact", art) == code
         assert "decomposition OK" not in capsys.readouterr().out
 
+    def test_overlapping_blocks_invalid(self, workdir, capsys):
+        # The path 0-1-2 with blocks (0, 1) and (1, 2) sharing vertex 1.
+        (workdir / "path.txt").write_text(
+            serialize_graph(MultiGraph.undirected(3, [(0, 1), (1, 2)])))
+        dec = LaminarDecomposition(3, False, 4, (SelectedCut((0, 2), 1),),
+                                   ((0, 1), (1, 2)))
+        art = workdir / "overlap.json"
+        art.write_text(json.dumps(outcome_to_json(dec)))
+        code = run("verify-dec", "--in", workdir / "path.txt", "--artifact", art)
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "decomposition INVALID: blocks do not partition the vertex set "
+            "(at 1)\n")
+
     def test_path_artifact_is_linear(self, workdir, capsys):
         # A 2000-vertex path with two parallel edges per step, at t = 3:
         # each of its 1999 cuts writes one tree edge and one size, so the

@@ -109,6 +109,13 @@ class TestQueries:
         with pytest.raises(GraphError):
             tree.fundamental_partition(TreeEdge(0, 1, 8))
 
+    def test_non_adjacent_pair_rejected(self):
+        # 0 and 2 share a tree of the path 0-1-2 but no edge, at the
+        # weight of the lighter edge between them.
+        tree = GomoryHuTree(range(3), [TreeEdge(0, 1, 2), TreeEdge(1, 2, 4)])
+        with pytest.raises(GraphError):
+            tree.fundamental_partition(TreeEdge(0, 2, 2))
+
     def test_min_cut_value_adjacent(self):
         tree = GomoryHuTree(range(3), [TreeEdge(0, 1, 2), TreeEdge(1, 2, 4)])
         assert tree.min_cut_value(1, 2) == 4

@@ -753,6 +753,26 @@ class TestVerifyCertificate:
         assert not report.ok
         assert "not connected" in report.problem
 
+    def test_pattern_below_two_rejected(self):
+        # K_1 has no edges, so without the size check an empty certificate
+        # would pass every later one.
+        g = MultiGraph.undirected(1, [])
+        cert = ImmersionCertificate(1, False, (0,), {})
+        report = verify_certificate(g, cert)
+        assert report.problem == "pattern size 1 is below 2"
+
+    def test_phi_of_wrong_length_rejected(self):
+        g = MultiGraph.undirected(3, [(0, 1)])
+        cert = ImmersionCertificate(2, False, (0, 1, 2), {(0, 1): (0,)})
+        report = verify_certificate(g, cert)
+        assert report.problem == "phi has 3 entries, expected 2"
+
+    def test_phi_outside_host_rejected(self):
+        g = MultiGraph.undirected(2, [(0, 1)])
+        cert = ImmersionCertificate(2, False, (0, 9), {(0, 1): (0,)})
+        report = verify_certificate(g, cert)
+        assert report.problem == "phi maps to unknown host vertex 9"
+
 
 class TestVerifyDecomposition:
     def test_pipeline_output_passes(self):
@@ -798,8 +818,23 @@ class TestVerifyDecomposition:
         g = MultiGraph.undirected(3, [])
         bad = LaminarDecomposition(2, False, 1, (), ((0, 1), (2,)))
         report = verify_decomposition(g, bad)
-        assert not report.ok
-        assert "block" in report.problem
+        assert report.problem == "block (0, 1) has 2 vertices, limit 1"
+
+    def test_overlapping_blocks_rejected(self):
+        # Blocks (0, 1) and (1, 2) of the path 0-1-2 share vertex 1.  If
+        # the second block took 1 over, the cut (0, 2) would join the two
+        # blocks in one tree and recount to its recorded size 1.
+        g = MultiGraph.undirected(3, [(0, 1), (1, 2)])
+        bad = LaminarDecomposition(3, False, 4, (SelectedCut((0, 2), 1),),
+                                   ((0, 1), (1, 2)))
+        report = verify_decomposition(g, bad)
+        assert report.problem == "blocks do not partition the vertex set (at 1)"
+
+    def test_t_below_two_rejected(self):
+        g = MultiGraph.undirected(1, [])
+        bad = LaminarDecomposition(1, False, 0, (), ((0,),))
+        report = verify_decomposition(g, bad)
+        assert report.problem == "t 1 is below 2"
 
     def test_missing_vertex_rejected(self):
         g = MultiGraph.undirected(3, [])
